@@ -1,4 +1,4 @@
-// EXP-F1 — degraded-mode robustness sweep (DESIGN.md §10):
+// EXP-FT1 — degraded-mode robustness sweep (DESIGN.md §10):
 // slowdown and read availability of the staged access protocol as the
 // injected fault rate grows.
 //
@@ -102,7 +102,7 @@ int main() {
   // parity points still cover every bench_simulation_mid_mem side.
   const int max_faulted_side = 32;
 
-  std::cout << "=== EXP-F1: fault-rate sweep, alpha = 1.5 (degraded-mode "
+  std::cout << "=== EXP-FT1: fault-rate sweep, alpha = 1.5 (degraded-mode "
                "slowdown + availability) ===\n";
   BenchRecorder rec("fault_sweep");
   Table t({"k", "side", "rate", "T_sim", "slowdown", "avail", "failed",

@@ -1,7 +1,27 @@
+// The staged access protocol (access.hpp): packet generation, forward
+// stages k+1..2, delivery and access, the return journey, and collection.
+//
+// Routing scope. Every per-region route call is
+// route_greedy(mesh_, g, mesh_.whole()): packets start and end in the stage
+// region g, and only a fault detour may use the rest of the mesh. Fault-free,
+// the call routes inside g (an XY path never leaves it), so a stage's
+// regions run in parallel and the stage is charged the max over them. Under
+// a plan that affects_routing(), a detour may have to leave g (a dead link
+// inside a 1-wide strip disconnects the strip internally while the
+// surrounding mesh still has paths around), so the fault kernel routes at
+// whole-mesh scope; the stage loops then run one region after another and
+// are charged the sum (stage_cost in execute()). Set-up still walks only g:
+// every route call leaves all of its packets home, and a stage re-targets
+// only the packets of the region it routes next, so every packet outside g
+// already sits at its destination. The conservation assertion in the
+// collect phase checks, at the end of each step, that no packet was lost
+// or stranded.
+
 #include "protocol/access.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <set>
 #include <tuple>
@@ -98,14 +118,7 @@ i64 AccessProtocol::distribute_stage(const Region& region, int dest_level) {
           }
         }
       });
-  // Under routing faults a detour may have to leave the stage submesh (a dead
-  // link inside a 1-wide strip disconnects the strip internally, while the
-  // surrounding mesh still has paths around), so route at whole-mesh scope.
-  // execute() serializes the stage loop in that case: only this region's
-  // packets are in flight — every other buffered packet is already at its
-  // node (dest == id) and stays in place at zero cost.
-  const bool routing_faults = plan != nullptr && plan->affects_routing();
-  steps += route_greedy(mesh_, routing_faults ? mesh_.whole() : region).steps;
+  steps += route_greedy(mesh_, region, mesh_.whole()).steps;
 
   // Record the stop for the return journey.
   for_each_region_chunk(
@@ -254,54 +267,47 @@ std::vector<i64> AccessProtocol::execute(
 
   // ---- Forward stages k+1 .. 2 -------------------------------------------
   // Stage k+1 spans the whole mesh; the inner stages run one worker per
-  // level-i submesh (disjoint regions, see mesh/parallel.hpp). Under routing
-  // faults the submeshes cannot run concurrently (detours may cross their
-  // boundaries, see distribute_stage), so the stage loop runs serially and
-  // is charged the sum of its submesh costs instead of the max.
+  // level-i submesh (disjoint regions, see mesh/parallel.hpp) and are charged
+  // the max over them. Under routing faults the submeshes cannot run
+  // concurrently (detours may cross their boundaries, see the file comment),
+  // so each stage loop runs serially and is charged the sum of its submesh
+  // costs instead.
   const bool routing_faults = plan != nullptr && plan->affects_routing();
+  auto stage_cost = [&](const std::vector<Region>& regions,
+                        const std::function<i64(const Region&)>& fn) -> i64 {
+    if (!routing_faults) return parallel_max_regions(mesh_, regions, fn);
+    i64 sum = 0;
+    for (const Region& g : regions) sum += fn(g);
+    return sum;
+  };
   for (int stage = k + 1; stage >= 2; --stage) {
     telemetry::Span stage_span(telemetry::Cat::Stage, kForwardStage, stage);
-    ParallelCost pc;
-    if (stage == k + 1) {
-      pc.observe(distribute_stage(mesh_.whole(), k));
-    } else if (routing_faults) {
-      i64 sum = 0;
-      for (const Region& g : level_regions_[static_cast<size_t>(stage)]) {
-        sum += distribute_stage(g, stage - 1);
-      }
-      pc.observe(sum);
-    } else {
-      pc.observe_all(parallel_for_regions(
-          mesh_, level_regions_[static_cast<size_t>(stage)],
-          [&](const Region& g) { return distribute_stage(g, stage - 1); }));
-    }
-    st.forward_stage_steps.push_back(pc.max());
-    st.forward_steps += pc.max();
-    stage_span.set_steps(pc.max());
+    const i64 cost =
+        stage == k + 1
+            ? distribute_stage(mesh_.whole(), k)
+            : stage_cost(level_regions_[static_cast<size_t>(stage)],
+                         [&](const Region& g) {
+                           return distribute_stage(g, stage - 1);
+                         });
+    st.forward_stage_steps.push_back(cost);
+    st.forward_steps += cost;
+    stage_span.set_steps(cost);
   }
 
   // ---- Stage 1: deliver and access ----------------------------------------
   {
     telemetry::Span deliver_span(telemetry::Cat::Stage, kDeliverStage, 1);
-    ParallelCost pc;
-    auto deliver = [&](const Region& g) -> i64 {
+    const i64 cost = stage_cost(level_regions_[1], [&](const Region& g) {
       for (RegionCursor cur = mesh_.cursor(g); cur.valid(); cur.advance()) {
         for (Packet& p : mesh_.buf(cur.id())) {
           p.dest = mesh_.node_id(placement_.locate(p.copy).node);
         }
       }
-      return route_greedy(mesh_, routing_faults ? mesh_.whole() : g).steps;
-    };
-    if (routing_faults) {
-      i64 sum = 0;
-      for (const Region& g : level_regions_[1]) sum += deliver(g);
-      pc.observe(sum);
-    } else {
-      pc.observe_all(parallel_for_regions(mesh_, level_regions_[1], deliver));
-    }
-    st.forward_stage_steps.push_back(pc.max());
-    st.forward_steps += pc.max();
-    deliver_span.set_steps(pc.max());
+      return route_greedy(mesh_, g, mesh_.whole()).steps;
+    });
+    st.forward_stage_steps.push_back(cost);
+    st.forward_steps += cost;
+    deliver_span.set_steps(cost);
   }
   {
     // Perform the accesses at the destination processors.
@@ -338,31 +344,22 @@ std::vector<i64> AccessProtocol::execute(
   for (int stage = 1; stage <= k; ++stage) {
     telemetry::Span stage_span(telemetry::Cat::Stage, kReturnStage, stage);
     const int trail_idx = k - stage;  // trail[k-1] = innermost stop
-    ParallelCost pc;
-    auto retrace = [&](const Region& g) -> i64 {
-      bool any = false;
-      for (RegionCursor cur = mesh_.cursor(g); cur.valid(); cur.advance()) {
-        for (Packet& p : mesh_.buf(cur.id())) {
-          MP_ASSERT(p.trail_len == k, "packet with incomplete trail");
-          p.dest = p.trail[static_cast<size_t>(trail_idx)];
-          any = true;
-        }
-      }
-      if (!any) return 0;
-      return route_greedy(mesh_, routing_faults ? mesh_.whole() : g).steps;
-    };
-    if (routing_faults) {
-      i64 sum = 0;
-      for (const Region& g : level_regions_[static_cast<size_t>(stage)]) {
-        sum += retrace(g);
-      }
-      pc.observe(sum);
-    } else {
-      pc.observe_all(parallel_for_regions(
-          mesh_, level_regions_[static_cast<size_t>(stage)], retrace));
-    }
-    st.return_steps += pc.max();
-    stage_span.set_steps(pc.max());
+    const i64 cost = stage_cost(
+        level_regions_[static_cast<size_t>(stage)], [&](const Region& g) {
+          bool any = false;
+          for (RegionCursor cur = mesh_.cursor(g); cur.valid();
+               cur.advance()) {
+            for (Packet& p : mesh_.buf(cur.id())) {
+              MP_ASSERT(p.trail_len == k, "packet with incomplete trail");
+              p.dest = p.trail[static_cast<size_t>(trail_idx)];
+              any = true;
+            }
+          }
+          if (!any) return i64{0};
+          return route_greedy(mesh_, g, mesh_.whole()).steps;
+        });
+    st.return_steps += cost;
+    stage_span.set_steps(cost);
   }
   {
     telemetry::Span stage_span(telemetry::Cat::Stage, kReturnStage, k + 1);

@@ -13,7 +13,8 @@
 //     to the origin. Reads take the value with the newest timestamp among
 //     their target set (majority consistency, Definition 2).
 //
-// Parallel stages are charged the maximum cost over their submeshes.
+// Parallel stages are charged the maximum cost over their submeshes (the
+// sum under a fault plan that affects routing, see access.cpp).
 #pragma once
 
 #include <vector>

@@ -10,6 +10,7 @@
 
 #include "mesh/arena.hpp"
 #include "mesh/parallel.hpp"
+#include "routing/greedy_serial.hpp"
 #include "routing/xy.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -70,7 +71,6 @@ struct RouteShared {
   const Region& region;
   RouteArena& ar;
   bool count_congestion;
-  int team;
   i64 in_flight0 = 0;
   std::vector<Stripe> stripes;
   std::vector<RankSlot> slots;
@@ -91,7 +91,6 @@ struct RouteShared {
         region(region_),
         ar(ar_),
         count_congestion(count_congestion_),
-        team(team_),
         stripes(static_cast<size_t>(team_)),
         slots(static_cast<size_t>(team_)),
         spills(static_cast<size_t>(team_)),
@@ -119,7 +118,7 @@ void forward_sweep(RouteShared& sh, int rank) {
     TransitRec* q = ar.queue(pos);
     const Coord at = cur.coord();
     // Vectorized scan: direction and remaining distance of every queued
-    // record (the kernel mirrors xy_next_dir's east/west-then-south/north
+    // record (the kernel mirrors xy_dir's east/west-then-south/north
     // priority); the argmax keeps the scalar first-occurrence tie-break.
     // Shallow queues (the common case) use stack buffers over the heap
     // scratch.
@@ -172,8 +171,8 @@ void forward_sweep(RouteShared& sh, int rank) {
 
 /// Absorb sweep over one stripe: consume the node's incoming lanes in
 /// canonical order, delivering home packets to the mesh buffer and appending
-/// the rest to the transit queue. A full queue grows in place when the team
-/// is serial; a stripe worker spills instead and flags a grow round.
+/// the rest to the transit queue. A full queue spills instead of growing and
+/// flags a grow round (see RouteShared::spills).
 void absorb_sweep(RouteShared& sh, int rank, i64 step) {
   RouteArena& ar = sh.ar;
   const Region& region = sh.region;
@@ -202,9 +201,6 @@ void absorb_sweep(RouteShared& sh, int rank, i64 step) {
         sh.mesh.buf(id).push_back(ar.payload[rec.handle]);
         ++delivered;
       } else if (ar.count(pos) < ar.cap()) {
-        ar.queue(pos)[ar.count(pos)++] = rec;
-      } else if (sh.team == 1) {
-        ar.grow(ar.cap() * 2);
         ar.queue(pos)[ar.count(pos)++] = rec;
       } else {
         sh.spills[static_cast<size_t>(rank)].emplace_back(pos, rec);
@@ -256,173 +252,30 @@ void route_stripe_worker(RouteShared& sh, int rank) {
   sh.slots[static_cast<size_t>(rank)].steps = steps;
 }
 
-/// Serial variant of the step loop driven by active lists instead of full
-/// region sweeps: `frontier` holds the nodes with queued packets, `arrivals`
-/// the nodes deposited into this step, so a step costs O(active), not
-/// O(region) — the tail of a route call touches a shrinking set of nodes.
-/// Bit-identical to the sweeps: a step's moves depend only on per-node state,
-/// never on the order nodes are visited (each lane has one writer, each
-/// buffer one owner, and the counters are per-node).
-void route_serial(RouteShared& sh) {
-  RouteArena& ar = sh.ar;
-  const Region& region = sh.region;
-  RankSlot& slot = sh.slots[0];
-  const int cols = sh.mesh.cols();
-  const i64 rcols = region.cols();
+/// The fault-free hop rule for the shared serial loop (greedy_serial.hpp):
+/// per outgoing direction, the queued record with the largest remaining
+/// distance, first occurrence in queue order breaking ties — the same choice
+/// as the stripe workers' vectorized scan, derived here from the relative
+/// offsets in registers.
+struct XyRule {
+  void begin_step(i64 /*step*/) {}
 
-  // Seed: rewrite each queued record's coordinate fields from the absolute
-  // destination to the remaining (dr, dc) offset. route_serial owns the
-  // arena until every queue drains, so nothing else sees the relative
-  // encoding; it makes a record's direction and distance two register-width
-  // reads that update incrementally per hop instead of a rescan every step.
-  // The caller recorded the nodes with queued packets while it split the
-  // buffers, so seeding costs O(active), not an O(region) sweep.
-  for (const ActiveNode& an : ar.frontier) {
-    const i64 s = ar.slot_of(an.pos);
-    const i32 cnt = ar.count_at(s);
-    TransitRec* q = ar.queue_at(s);
+  void select(const ActiveNode& /*an*/, const TransitRec* q, i32 cnt,
+              i64 /*step*/, std::array<i32, kNumDirs>& win) {
+    std::array<i32, kNumDirs> best_dist{};
     for (i32 i = 0; i < cnt; ++i) {
-      q[i].dest_r = static_cast<i16>(q[i].dest_r - an.r);
-      q[i].dest_c = static_cast<i16>(q[i].dest_c - an.c);
-      MP_ASSERT(q[i].dest_r != 0 || q[i].dest_c != 0,
-                "arrived packet still in transit");
+      const int dr = q[i].dest_r;
+      const int dc = q[i].dest_c;
+      // Same decision table as simd::transit_scan: column first (XY).
+      const auto di = static_cast<size_t>(xy_dir(dr, dc));
+      const i32 rem = (dr < 0 ? -dr : dr) + (dc < 0 ? -dc : dc);
+      if (win[di] < 0 || rem > best_dist[di]) {
+        win[di] = i;
+        best_dist[di] = rem;
+      }
     }
-    ar.in_frontier[static_cast<size_t>(an.pos)] = 1;
   }
-
-  i64 steps = 0;
-  i64 in_flight = sh.in_flight0;
-  while (in_flight > 0) {
-    ++steps;
-    // Forward: best candidate per direction from every active node — the
-    // argmax derives (dir, rem) from the stored offsets in registers.
-    for (const ActiveNode& an : ar.frontier) {
-      const i64 pos = an.pos;
-      const i64 s = ar.slot_of(pos);
-      const i32 cnt = ar.count_at(s);
-      TransitRec* q = ar.queue_at(s);
-      std::array<i32, kNumDirs> best;
-      best.fill(-1);
-      std::array<i32, kNumDirs> best_dist{};
-      for (i32 i = 0; i < cnt; ++i) {
-        const int dr = q[i].dest_r;
-        const int dc = q[i].dest_c;
-        // Same decision table as simd::transit_scan: column first (XY).
-        const size_t di = dc > 0 ? 1u : dc < 0 ? 3u : dr > 0 ? 2u : 0u;
-        const i32 rem = (dr < 0 ? -dr : dr) + (dc < 0 ? -dc : dc);
-        if (best[di] < 0 || rem > best_dist[di]) {
-          best[di] = i;
-          best_dist[di] = rem;
-        }
-      }
-      i64 moves = 0;
-      const i64 rr = an.r - region.r0();
-      const bool east_row = (rr & 1) == 0;
-      for (int di = 0; di < kNumDirs; ++di) {
-        const i32 idx = best[static_cast<size_t>(di)];
-        if (idx < 0) continue;
-        TransitRec rec = q[idx];
-        q[idx].handle = RouteArena::kInvalidHandle;
-        const Coord to = step_toward({an.r, an.c}, static_cast<Dir>(di));
-        MP_ASSERT(region.contains(to), "XY routing left the region");
-        // Neighbour's snake position without the general snake_of: lateral
-        // moves step by one (sign flips on odd rows), vertical moves land on
-        // the mirrored offset of the adjacent row.
-        i64 dpos;
-        if (di == 1) {
-          dpos = east_row ? pos + 1 : pos - 1;  // East
-        } else if (di == 3) {
-          dpos = east_row ? pos - 1 : pos + 1;  // West
-        } else if (di == 2) {
-          dpos = 2 * (rr + 1) * rcols - 1 - pos;  // South
-        } else {
-          dpos = 2 * rr * rcols - 1 - pos;  // North
-        }
-        MP_ASSERT(dpos == region.snake_of(to), "snake arithmetic mismatch");
-        // Account for the hop the record is about to take.
-        if (di == 1) {
-          --rec.dest_c;
-        } else if (di == 3) {
-          ++rec.dest_c;
-        } else if (di == 2) {
-          --rec.dest_r;
-        } else {
-          ++rec.dest_r;
-        }
-        const i64 ds = ar.slot_of(dpos);
-        ar.lane_rec_at(ds, kLaneOfMove[di]) = rec;
-        ar.lane_flags_at(ds)[kLaneOfMove[di]] = 1;
-        if (!ar.arrival_mark[static_cast<size_t>(dpos)]) {
-          ar.arrival_mark[static_cast<size_t>(dpos)] = 1;
-          ar.arrivals.push_back({static_cast<i32>(dpos),
-                                 static_cast<i16>(to.r),
-                                 static_cast<i16>(to.c)});
-        }
-        ++moves;
-      }
-      if (moves > 0) {
-        i32 w = 0;
-        for (i32 i = 0; i < cnt; ++i) {
-          if (q[i].handle != RouteArena::kInvalidHandle) q[w++] = q[i];
-        }
-        ar.count_at(s) = w;
-        if (sh.count_congestion) {
-          sh.mesh.counters().add_forwarded(an.r * cols + an.c, moves);
-        }
-      }
-    }
-    // Absorb: only nodes that received a deposit have work.
-    i64 delivered = 0;
-    for (const ActiveNode& an : ar.arrivals) {
-      const i64 s = ar.slot_of(an.pos);
-      unsigned char* flags = ar.lane_flags_at(s);
-      const Coord at{an.r, an.c};
-      const bool east_row = ((at.r - region.r0()) & 1) == 0;
-      const int* order = east_row ? kLaneOrderEast : kLaneOrderWest;
-      for (int oi = 0; oi < kNumDirs; ++oi) {
-        const int lane = order[oi];
-        if (!flags[lane]) continue;
-        flags[lane] = 0;
-        const TransitRec rec = ar.lane_rec_at(s, lane);
-        if (rec.dest_r == 0 && rec.dest_c == 0) {
-          sh.mesh.buf(at.r * cols + at.c).push_back(ar.payload[rec.handle]);
-          ++delivered;
-        } else {
-          // The offset was updated at the sender; requeue verbatim.
-          if (ar.count_at(s) >= ar.cap()) ar.grow(ar.cap() * 2);
-          ar.queue_at(s)[ar.count_at(s)++] = rec;
-        }
-      }
-      const i64 logical = ar.count_at(s);
-      slot.max_queue = std::max(slot.max_queue, logical);
-      if (sh.count_congestion) {
-        sh.mesh.counters().observe_queue(at.r * cols + at.c, logical);
-      }
-    }
-    // Next frontier: survivors of the old one plus arrivals that queued.
-    ar.frontier_next.clear();
-    for (const ActiveNode& an : ar.frontier) {
-      if (ar.count(an.pos) > 0) {
-        ar.frontier_next.push_back(an);
-      } else {
-        ar.in_frontier[static_cast<size_t>(an.pos)] = 0;
-      }
-    }
-    for (const ActiveNode& an : ar.arrivals) {
-      ar.arrival_mark[static_cast<size_t>(an.pos)] = 0;
-      if (ar.count(an.pos) > 0 &&
-          !ar.in_frontier[static_cast<size_t>(an.pos)]) {
-        ar.in_frontier[static_cast<size_t>(an.pos)] = 1;
-        ar.frontier_next.push_back(an);
-      }
-    }
-    ar.arrivals.clear();
-    ar.frontier.swap(ar.frontier_next);
-    slot.delivered += delivered;
-    in_flight -= delivered;
-  }
-  slot.steps = steps;
-}
+};
 
 }  // namespace
 
@@ -434,6 +287,11 @@ void set_route_initial_headroom(i64 slots) {
 i64 route_initial_headroom() { return g_route_headroom; }
 
 RouteStats route_greedy(Mesh& mesh, const Region& region) {
+  return route_greedy(mesh, region, region);
+}
+
+RouteStats route_greedy(Mesh& mesh, const Region& region,
+                        const Region& detour_scope) {
   telemetry::Span span(telemetry::Cat::Phase, kRouteGreedy);
   // Per-node congestion counters are hot-loop writes; hoist the gate. Each
   // node's cells are written by exactly one stripe worker (sources count
@@ -442,7 +300,21 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
   const bool count_congestion = telemetry::sampling_on();
   RouteStats stats;
 
-  const i64 m = region.size();
+  // Fault plans that touch routing divert to the serial fault-aware kernel
+  // (stall backoff, detours, drop retransmission), whose detours may cross
+  // all of `detour_scope`. Module-only plans — and no plan at all — keep the
+  // fast path, which never leaves `region`: an XY path stays inside the
+  // rectangle spanned by its endpoints.
+  const fault::FaultPlan* plan = mesh.fault_plan();
+  const bool fault_kernel = plan != nullptr && plan->affects_routing();
+  const Region& scope = fault_kernel ? detour_scope : region;
+  const bool wide = !(scope == region);
+  MP_REQUIRE(!wide || (scope.contains({region.r0(), region.c0()}) &&
+                       scope.contains({region.r0() + region.rows() - 1,
+                                       region.c0() + region.cols() - 1})),
+             "routing region " << region << " outside detour scope "
+                               << scope);
+
   RouteArena* const arena = mesh.route_arenas().acquire();
   struct Lease {
     Mesh& mesh;
@@ -450,19 +322,23 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
     ~Lease() { mesh.route_arenas().release(arena); }
   } lease{mesh, arena};
   RouteArena& ar = *arena;
-  ar.reset(region, mesh.order().kind());
+  ar.reset(scope, mesh.order().kind());
 
-  // Serial setup on the calling thread: split each buffer into home packets
-  // (kept in place) and in-transit payload, recording 8-byte transit records
-  // in snake order and per-node queue depths for the slab layout.
+  // Serial setup on the calling thread: split each buffer of `region` into
+  // home packets (kept in place) and in-transit payload, recording 8-byte
+  // transit records and per-node queue depths for the slab layout. Only
+  // `region` is walked: by contract every packet elsewhere in the scope is
+  // already home, so a wide scope adds only the arena's flat O(scope) reset
+  // above, not a walk of its buffers.
   MP_REQUIRE(mesh.rows() <= 32767 && mesh.cols() <= 32767,
              "mesh too large for 16-bit transit coordinates");
   i64 in_flight = 0;
   i64 max_depth = 0;
-  ar.frontier.clear();  // nodes with queued packets, recorded in snake order
+  ar.frontier.clear();  // nodes with queued packets, in discovery order
   for (RegionCursor cur = mesh.cursor(region); cur.valid(); cur.advance()) {
     const Coord x = cur.coord();
     const i32 id = cur.id();
+    const i64 pos = wide ? scope.snake_of(x) : cur.pos();
     auto& b = mesh.buf(id);
     auto keep = b.begin();
     for (Packet& p : b) {
@@ -479,11 +355,11 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
         ar.setup_rec.push_back(TransitRec{static_cast<u32>(ar.payload.size()),
                                           static_cast<i16>(d.r),
                                           static_cast<i16>(d.c)});
-        ar.setup_pos.push_back(cur.pos());
+        ar.setup_pos.push_back(pos);
         ar.payload.push_back(p);
-        const i32 depth = ++ar.count(cur.pos());
+        const i32 depth = ++ar.count(pos);
         if (depth == 1) {
-          ar.frontier.push_back({static_cast<i32>(cur.pos()),
+          ar.frontier.push_back({static_cast<i32>(pos),
                                  static_cast<i16>(x.r),
                                  static_cast<i16>(x.c)});
         }
@@ -506,40 +382,34 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
       ar.queue(pos)[ar.count(pos)++] = ar.setup_rec[i];
     }
 
-    // Fault plans that touch routing divert to the serial fault-aware kernel
-    // (stall backoff, detours, drop retransmission). Module-only plans — and
-    // no plan at all — keep the fast path below, so their step counts stay
-    // bit-identical to the fault-free run.
-    const fault::FaultPlan* plan = mesh.fault_plan();
-    if (plan != nullptr && plan->affects_routing()) {
-      detail::route_greedy_fault(mesh, region, ar, in_flight, stats);
-      span.set_steps(stats.steps);
-      return stats;
-    }
-
     // Stripe team: contiguous row bands, one pool thread each. Serial when
     // the caller is itself a pool worker (the region loops already use every
-    // thread, and the pool is not reentrant) or the region is small.
+    // thread, and the pool is not reentrant) or the region is small. The
+    // fault kernel always runs serial.
     int team = 1;
     if (!in_parallel_worker() && execution_threads() > 1 &&
-        m >= stripe_min_nodes()) {
+        region.size() >= stripe_min_nodes()) {
       team = static_cast<int>(
           std::min<i64>(execution_threads(), region.rows()));
     }
-    RouteShared sh(mesh, region, ar, count_congestion, team);
-    sh.in_flight0 = in_flight;
-    const i64 base = region.rows() / team;
-    const i64 extra = region.rows() % team;
-    i64 row = 0;
-    for (int t = 0; t < team; ++t) {
-      const i64 nrows = base + (t < extra ? 1 : 0);
-      sh.stripes[static_cast<size_t>(t)] = {row * region.cols(),
-                                            (row + nrows) * region.cols()};
-      row += nrows;
-    }
-    if (team == 1) {
-      route_serial(sh);
+    if (fault_kernel) {
+      detail::route_greedy_fault(mesh, scope, ar, in_flight, stats);
+    } else if (team == 1) {
+      XyRule rule;
+      detail::route_serial(mesh, region, ar, in_flight, count_congestion,
+                           rule, stats);
     } else {
+      RouteShared sh(mesh, region, ar, count_congestion, team);
+      sh.in_flight0 = in_flight;
+      const i64 base = region.rows() / team;
+      const i64 extra = region.rows() % team;
+      i64 row = 0;
+      for (int t = 0; t < team; ++t) {
+        const i64 nrows = base + (t < extra ? 1 : 0);
+        sh.stripes[static_cast<size_t>(t)] = {row * region.cols(),
+                                              (row + nrows) * region.cols()};
+        row += nrows;
+      }
       execution_pool().for_each_index(team, [&sh](i64 rank) {
         telemetry::Span worker(telemetry::Cat::Region, kRouteStripe, rank);
         try {
@@ -550,11 +420,11 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
         }
         worker.set_steps(sh.slots[static_cast<size_t>(rank)].steps);
       });
-    }
-    stats.steps = sh.slots[0].steps;
-    for (const RankSlot& slot : sh.slots) {
-      MP_ASSERT(slot.steps == stats.steps, "stripe team diverged");
-      stats.max_queue = std::max(stats.max_queue, slot.max_queue);
+      stats.steps = sh.slots[0].steps;
+      for (const RankSlot& slot : sh.slots) {
+        MP_ASSERT(slot.steps == stats.steps, "stripe team diverged");
+        stats.max_queue = std::max(stats.max_queue, slot.max_queue);
+      }
     }
   }
   span.set_steps(stats.steps);

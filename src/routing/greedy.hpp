@@ -28,21 +28,38 @@ struct RouteStats {
 };
 
 /// Routes every packet buffered in `region` to its Packet::dest node buffer.
-/// All destinations must lie inside `region`. Returns cycle-accurate stats.
+/// All destinations must lie inside `region`. Returns cycle-accurate stats
+/// (`packets` and `total_distance` count the packets buffered in `region`,
+/// at-home ones included).
 ///
 /// Regions of at least stripe_min_nodes() nodes (mesh/parallel.hpp) are
 /// decomposed into row stripes executed by a worker team with a barrier per
 /// sweep; results, RouteStats, and the congestion counter grids are
 /// bit-identical to the serial path at any thread count (see DESIGN.md §9
-/// for the determinism argument).
+/// for the determinism argument). Smaller regions, and every call from a
+/// pool worker, run the serial active-list loop (greedy_serial.hpp), which
+/// costs O(nodes with queued packets) per step.
 ///
 /// When the mesh carries a fault plan that affects routing (dead or stalled
-/// links, a positive drop rate), the call switches to the serial fault-aware
-/// kernel (greedy_fault.cpp): stalled hops back off and retry, dead links are
-/// detoured, drops are retransmitted — no packet is ever lost. Plans that
-/// only kill memory modules stay on the fast path, so their step counts are
-/// bit-identical to the fault-free run.
+/// links, a positive drop rate), the call switches to the fault-aware hop
+/// rule (greedy_fault.cpp) on the same serial loop: stalled hops back off
+/// and retry, dead links are detoured, drops are retransmitted — no packet
+/// is ever lost. Plans that only kill memory modules stay on the fast path,
+/// so their step counts are bit-identical to the fault-free run.
 RouteStats route_greedy(Mesh& mesh, const Region& region);
+
+/// Same, but under a routing-affecting fault plan the detours may cross all
+/// of `detour_scope` (which must contain `region`): a dead link inside a thin
+/// region can cut it internally while the surrounding mesh still has paths
+/// around. The caller guarantees that every packet in `detour_scope` outside
+/// `region` already sits at its destination; those buffers are neither
+/// walked nor touched, so set-up walks |region| buffers whatever the scope,
+/// and the result equals routing `detour_scope` as a whole (except that
+/// `packets` and `total_distance` count only `region`). Fault-free routing
+/// never leaves `region` (an XY path stays inside the rectangle spanned by
+/// its endpoints) and ignores `detour_scope`.
+RouteStats route_greedy(Mesh& mesh, const Region& region,
+                        const Region& detour_scope);
 
 /// Test hook: extra per-node queue capacity laid out beyond the setup-time
 /// maximum depth (default 2). Raising it pre-grows the arena so the overflow
@@ -54,11 +71,12 @@ i64 route_initial_headroom();
 
 namespace detail {
 /// Serial fault-aware greedy kernel. Called by route_greedy after arena
-/// setup; `in_flight` is the number of in-transit records already scattered
-/// into `ar`'s queues. Fills steps/max_queue/fault_* of `stats` and adds the
-/// fault events to mesh.fault_tally(). Throws fault::FaultError if the plan
-/// leaves some packet unroutable (step cap exceeded).
-void route_greedy_fault(Mesh& mesh, const Region& region, RouteArena& ar,
+/// setup over `scope` (the detour scope); `in_flight` is the number of
+/// in-transit records already scattered into `ar`'s queues and listed in
+/// ar.frontier. Fills steps/max_queue/fault_* of `stats` and adds the fault
+/// events to mesh.fault_tally(). Throws fault::FaultError if the plan leaves
+/// some packet unroutable (step cap exceeded).
+void route_greedy_fault(Mesh& mesh, const Region& scope, RouteArena& ar,
                         i64 in_flight, RouteStats& stats);
 }  // namespace detail
 

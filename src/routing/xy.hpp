@@ -1,29 +1,23 @@
 // XY (dimension-order) routing decisions and lane conventions shared by the
-// fast greedy kernel (greedy.cpp) and the fault-aware kernel
-// (greedy_fault.cpp). Both kernels must agree on these exactly: the fault
-// path falls back to plain XY wherever no fault is in the way, and the
-// fault-rate-0 parity tests compare the two step-for-step.
+// greedy kernels: the serial loop and its two hop rules (greedy_serial.hpp,
+// greedy.cpp, greedy_fault.cpp), the stripe team (greedy.cpp) and the rank
+// bands (dist/route.cpp). They must agree on these exactly: the fault rule
+// falls back to plain XY wherever no fault is in the way, and the
+// fault-rate-0 parity tests compare the paths step for step.
 #pragma once
 
 #include "mesh/geometry.hpp"
 
 namespace meshpram {
 
-/// XY routing decision: east/west until the column matches, then north/south.
-/// Returns false when the packet is at its destination.
-inline bool xy_next_dir(Coord at, int dest_r, int dest_c, Dir* out) {
-  if (at.c < dest_c) {
-    *out = Dir::East;
-  } else if (at.c > dest_c) {
-    *out = Dir::West;
-  } else if (at.r < dest_r) {
-    *out = Dir::South;
-  } else if (at.r > dest_r) {
-    *out = Dir::North;
-  } else {
-    return false;
-  }
-  return true;
+/// XY routing decision for a packet whose destination lies (dr, dc) away,
+/// (dr, dc) != (0, 0): east/west until the column matches, then
+/// south/north.
+inline Dir xy_dir(int dr, int dc) {
+  return dc > 0   ? Dir::East
+         : dc < 0 ? Dir::West
+         : dr > 0 ? Dir::South
+                  : Dir::North;
 }
 
 /// Incoming lane of a packet that moved in direction d (indexed by Dir value

@@ -29,8 +29,9 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (binary, committed baseline). Only benches with a committed BENCH_*.json
-# participate; others are skipped with a note.
+# Benches the gate runs, each against its committed BENCH_<name>.json. Every
+# listed bench must have both a committed baseline and a built binary; a
+# missing one fails the gate (see missing_inputs).
 BENCHES = [
     "simulation_mid_mem",
     "routing_general",
@@ -214,6 +215,22 @@ def compare_bench(bench, base, fresh, tolerance, log=print):
     return failures
 
 
+def missing_inputs(bench, baseline_path, binary):
+    """Fail-closed check for one listed bench: no committed baseline or no
+    built binary is a failure, never a skip — a gate that silently stops
+    running looks exactly like a gate that passes. Returns a list of failure
+    strings (empty when both exist)."""
+    failures = []
+    if not os.path.exists(baseline_path):
+        failures.append(
+            f"{bench}: no committed BENCH_{bench}.json at the repo root — "
+            f"run bench_{bench} from the Release bench-smoke build with "
+            f"MESHPRAM_THREADS=1 and commit its output")
+    if not os.path.exists(binary):
+        failures.append(f"{bench}: binary not built at {binary}")
+    return failures
+
+
 def algo_exact_failures(base, fresh):
     """Exact gate over the algorithm-suite columns: every shared EXP-A1
     point must reproduce its committed step/contention counts bit-for-bit.
@@ -323,14 +340,10 @@ def main():
 
         for bench in BENCHES:
             baseline_path = os.path.join(REPO, f"BENCH_{bench}.json")
-            if not os.path.exists(baseline_path):
-                print(f"[skip] {bench}: no committed BENCH_{bench}.json at "
-                      f"the repo root — run bench_{bench} from a Release "
-                      f"build and commit its output to enable this gate")
-                continue
             binary = os.path.join(build_dir, "bench", f"bench_{bench}")
-            if not os.path.exists(binary):
-                print(f"[skip] {bench}: binary not built at {binary}")
+            missing = missing_inputs(bench, baseline_path, binary)
+            if missing:
+                failures += missing
                 continue
 
             base_doc = load_doc(baseline_path,

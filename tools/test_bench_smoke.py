@@ -3,7 +3,8 @@
 
 Runs the pure comparison logic (no binaries, no build) against synthetic
 BENCH docs: both tolerance paths of compare_bench, the mesh_steps exactness
-gate, the rank-1 parity gate, and the malformed-input paths that must raise
+gate, the rank-1 parity gate, the fail-closed check for a listed bench with
+no baseline or binary, and the malformed-input paths that must raise
 SmokeError with a readable message rather than a KeyError traceback.
 
 Registered with ctest (label `dist`); also runnable directly or under
@@ -12,13 +13,14 @@ pytest — every check is a bare assert in a test_* function.
 
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_smoke  # noqa: E402
 from bench_smoke import (SmokeError, algo_exact_failures,  # noqa: E402
-                         compare_bench, doc_points, point_field,
-                         rank1_parity_failures, schema_field_diff,
-                         transport_parity_failures)
+                         compare_bench, doc_points, missing_inputs,
+                         point_field, rank1_parity_failures,
+                         schema_field_diff, transport_parity_failures)
 
 
 def pts(*entries):
@@ -71,6 +73,35 @@ def test_compare_bench_mesh_steps_exact_regardless_of_tolerance():
 def test_compare_bench_no_shared_points_is_a_skip_not_a_failure():
     assert compare_bench("x", pts(("a", 1.0, 1)), pts(("b", 1.0, 1)),
                          0.25, log=quiet) == []
+
+
+def test_missing_baseline_or_binary_fails_closed():
+    with tempfile.TemporaryDirectory() as tmp:
+        baseline = os.path.join(tmp, "BENCH_x.json")
+        binary = os.path.join(tmp, "bench_x")
+        both = missing_inputs("x", baseline, binary)
+        assert len(both) == 2
+        assert "no committed BENCH_x.json" in both[0]
+        assert "binary not built" in both[1]
+        with open(baseline, "w") as f:
+            f.write("{}")
+        no_binary = missing_inputs("x", baseline, binary)
+        assert len(no_binary) == 1 and "binary not built" in no_binary[0]
+        with open(binary, "w") as f:
+            f.write("")
+        assert missing_inputs("x", baseline, binary) == []
+        os.remove(baseline)
+        no_baseline = missing_inputs("x", baseline, binary)
+        assert len(no_baseline) == 1
+        assert "no committed BENCH_x.json" in no_baseline[0]
+
+
+def test_every_listed_bench_has_a_committed_baseline():
+    # The repository side of the fail-closed rule: the gate would fail on a
+    # listed bench without a baseline, so every one must be committed.
+    for bench in bench_smoke.BENCHES:
+        path = os.path.join(bench_smoke.REPO, f"BENCH_{bench}.json")
+        assert os.path.exists(path), f"BENCH_{bench}.json is not committed"
 
 
 def test_point_field_missing_raises_readable_error():
