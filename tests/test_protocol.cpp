@@ -140,6 +140,112 @@ TEST(TargetSelector, MajorityIntersectionIsTightForQ3) {
   EXPECT_EQ(a.size(), 4u);
 }
 
+// Reference solver: a plain top-down recursion over T_v that builds every
+// node's chosen leaf list. An internal node at tree depth d needs
+// extensive() children at d >= level and majority() below, and takes the
+// `need` cheapest feasible ones, the lower digit first on equal cost.
+struct RefNode {
+  bool feasible = false;
+  i64 cost = 0;
+  std::vector<i64> codes;
+};
+
+RefNode ref_solve(i64 q, int k, int depth, i64 prefix, int level,
+                  const std::vector<char>& candidate,
+                  const std::vector<char>& marked) {
+  RefNode node;
+  if (depth == k) {
+    node.feasible = candidate[static_cast<size_t>(prefix)] != 0;
+    if (node.feasible) {
+      node.cost = marked[static_cast<size_t>(prefix)] ? 0 : 1;
+      node.codes = {prefix};
+    }
+    return node;
+  }
+  std::vector<RefNode> kids;
+  for (i64 c = 0; c < q; ++c) {
+    kids.push_back(ref_solve(q, k, depth + 1, prefix + c * ipow(q, depth),
+                             level, candidate, marked));
+  }
+  const i64 need = depth >= level ? q / 2 + 2 : q / 2 + 1;
+  std::vector<size_t> order;
+  for (size_t i = 0; i < kids.size(); ++i) {
+    if (kids[i].feasible) order.push_back(i);
+  }
+  if (static_cast<i64>(order.size()) < need) return node;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return kids[a].cost < kids[b].cost;
+  });
+  node.feasible = true;
+  for (i64 t = 0; t < need; ++t) {
+    const RefNode& kid = kids[order[static_cast<size_t>(t)]];
+    node.cost += kid.cost;
+    node.codes.insert(node.codes.end(), kid.codes.begin(), kid.codes.end());
+  }
+  std::sort(node.codes.begin(), node.codes.end());
+  return node;
+}
+
+TEST(TargetSelector, MatchesRecursiveReference) {
+  // Seeded random candidate/marked bitmaps in the call shapes CULLING uses:
+  // marked inside candidate (augmenting C with unmarked copies), marked ==
+  // candidate (extracting from M alone, degraded-mode survivors), plus an
+  // unrelated marked set. Sparse candidates make many inputs infeasible.
+  const int kCandPct[] = {35, 55, 70, 85, 95, 100};
+  const int kMarkPct[] = {0, 25, 50, 80};
+  i64 cases = 0;
+  i64 infeasible = 0;
+  for (const i64 q : {3, 4, 5, 7}) {
+    for (int k = 1; k <= 4; ++k) {
+      TargetSelector sel(q, k);
+      const i64 ncodes = sel.num_codes();
+      Rng rng(static_cast<u64>(q * 10 + k));
+      const int trials = ncodes > 500 ? 6 : 24;
+      for (int level = 0; level <= k; ++level) {
+        for (int t = 0; t < trials; ++t) {
+          const int cand_pct = kCandPct[t % 6];
+          const int mark_pct = kMarkPct[(t / 6) % 4];
+          std::vector<char> cand(static_cast<size_t>(ncodes), 0);
+          std::vector<char> in_m(static_cast<size_t>(ncodes), 0);
+          std::vector<char> other(static_cast<size_t>(ncodes), 0);
+          for (i64 c = 0; c < ncodes; ++c) {
+            const auto i = static_cast<size_t>(c);
+            cand[i] = static_cast<char>(rng.below(100) <
+                                        static_cast<u64>(cand_pct));
+            in_m[i] = static_cast<char>(
+                cand[i] && rng.below(100) < static_cast<u64>(mark_pct));
+            other[i] = static_cast<char>(rng.below(2));
+          }
+          const std::pair<const std::vector<char>*,
+                          const std::vector<char>*>
+              shapes[] = {{&cand, &in_m}, {&in_m, &in_m}, {&cand, &cand},
+                          {&cand, &other}};
+          for (const auto& [c_bits, m_bits] : shapes) {
+            const RefNode want =
+                ref_solve(q, k, 0, 0, level, *c_bits, *m_bits);
+            const TargetSelector::Selection got =
+                sel.select(level, *c_bits, *m_bits);
+            ++cases;
+            if (!want.feasible) ++infeasible;
+            ASSERT_EQ(got.feasible, want.feasible)
+                << "q=" << q << " k=" << k << " level=" << level
+                << " trial=" << t;
+            if (!want.feasible) continue;
+            ASSERT_EQ(got.unmarked, want.cost)
+                << "q=" << q << " k=" << k << " level=" << level
+                << " trial=" << t;
+            ASSERT_EQ(got.codes, want.codes)
+                << "q=" << q << " k=" << k << " level=" << level
+                << " trial=" << t;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(infeasible, cases / 10);
+  EXPECT_LT(infeasible, cases * 9 / 10);
+}
+
 // ---------------------------------------------------------------------------
 // CULLING (Theorem 3).
 // ---------------------------------------------------------------------------
