@@ -123,6 +123,10 @@ i64 Bibd::output_neighbor(i64 u, i64 r) const {
 i64 Bibd::edge_rank(i64 w, i64 u) const {
   MP_ASSERT(adjacent(w, u),
             "edge_rank: (" << w << ", " << u << ") is not an edge");
+  return input_rank(w);
+}
+
+i64 Bibd::input_rank(i64 w) const {
   const Phi phi = decode_input(w);
   return (qpow_[static_cast<size_t>(phi.h)] - 1) / (q_ - 1) + phi.B;
 }

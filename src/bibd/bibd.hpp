@@ -89,6 +89,11 @@ class Bibd {
   /// InternalError if (w, u) is not an edge.
   i64 edge_rank(i64 w, i64 u) const;
 
+  /// Rank of input w in the canonical neighbor order of each of its q
+  /// outputs: (q^h - 1)/(q - 1) + B depends on w alone, so
+  /// edge_rank(w, u) == input_rank(w) for every neighbor u of w.
+  i64 input_rank(i64 w) const;
+
   /// The unique input adjacent to both distinct outputs u1 and u2 (λ = 1).
   i64 common_input(i64 u1, i64 u2) const;
 

@@ -50,6 +50,11 @@ class BibdSubgraph {
   /// Rank of edge (v, u) among u's surviving neighbors; O(d).
   i64 edge_rank(i64 v, i64 u) const;
 
+  /// Rank of input v among the surviving neighbors of each of its q outputs:
+  /// the same in all of them (Bibd::input_rank), so it equals
+  /// edge_rank(v, u) for every neighbor u. O(d), no adjacency check.
+  i64 input_rank(i64 v) const { return bibd_.input_rank(to_full(v)); }
+
   bool adjacent(i64 v, i64 u) const;
 
   /// Access to the underlying full design (for tests).

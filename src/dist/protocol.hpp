@@ -9,7 +9,8 @@
 // Two execution modes, chosen per step:
 //
 //  * partitioned (no fault plan, or a module-only plan): CULLING is
-//    replicated (it touches no copy store); packets are generated on owned
+//    replicated (it touches no copy store), so every rank's copy table holds
+//    every request's copy addresses; packets are generated on owned
 //    nodes only; the whole-mesh stage k+1 replicates the raw buffers once,
 //    sorts/ranks identically on every rank, then drops back to owned bands
 //    and routes through the boundary-lane exchange; the inner stages (k..1),

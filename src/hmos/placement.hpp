@@ -48,15 +48,30 @@ class Placement {
   /// Physical location and page path of a copy; O(k * d) arithmetic.
   CopyLoc locate(u64 copy) const;
 
-  /// Level-i page index of a copy (shortcut used as sort key everywhere).
-  /// Cheaper than locate(): the descent stops at `level` and the leaf node
-  /// is never computed.
+  /// Level-i page index of a copy. Cheaper than locate(): the descent stops
+  /// at `level` and the leaf node is never computed.
   i64 page_at(u64 copy, int level) const;
+
+  /// One walk down the copy tree T_v of variable `var` (§3.1): for every code
+  /// c in [0, q^k), writes the level-i page of copy var * q^k + c to
+  /// pages[(i-1) * q^k + c] (i in [1, k]) and the node storing it to
+  /// holders[c], as a row-major node id (Mesh::node_id of locate().node).
+  /// Each module and edge rank is computed once and shared by the copies
+  /// below it: q + q^2 + ... + q^k neighbor queries and one rank query per
+  /// internal tree node (an input has the same rank in all q of its outputs'
+  /// neighbor orders), where q^k locate() calls pay k of each per copy.
+  void walk_copies(i64 var, i32* pages, i32* holders) const;
 
   /// True if any level packs multiple pages per node (t_i < 1 degradation).
   bool degraded() const { return degraded_; }
 
  private:
+  /// walk_copies below the tree node at `depth` with module `u`, reached
+  /// through code digits summing to `code`; ranks[j] = rank of the edge into
+  /// the depth-(j+1) node on the path.
+  void walk_subtree(int depth, i64 u, i64 code, LevelPath& ranks, i32* pages,
+                    i32* holders) const;
+
   const MemoryMap& map_;
   Region whole_;
   bool degraded_ = false;

@@ -15,6 +15,11 @@
 //
 // Parallel stages are charged the maximum cost over their submeshes (the
 // sum under a fault plan that affects routing, see access.cpp).
+//
+// The destination pages of stages k+1..2 and the delivery node of stage 1
+// come from CULLING's per-step copy table (culling.hpp): a packet's entry
+// is the row of its origin at its copy's code, so no stage recomputes the
+// memory map per packet.
 #pragma once
 
 #include <vector>
@@ -117,6 +122,9 @@ class AccessProtocol {
   Mesh& mesh_;
   const Placement& placement_;
   SortOptions sort_opts_;
+  /// Long-lived so its copy table's storage is reused across steps; the
+  /// forward stages read packet keys and delivery nodes from that table.
+  Culling culling_;
   /// Deduplicated page regions per level (shared 1x1 regions collapse).
   std::vector<std::vector<Region>> level_regions_;
   /// Degraded-mode intermediate-stop slots: alive_slots_[level][page] = alive

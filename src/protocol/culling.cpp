@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
 
 #include "routing/lroute.hpp"
 #include "routing/rank.hpp"
@@ -22,9 +20,30 @@ constexpr i64 kNodeGrain = 64;
 
 /// Stage-cat spans partition StepStats::total_steps (telemetry.hpp): each
 /// CULLING iteration is one stage, charged the steps it added to st.steps.
+/// The Phase-cat spans below are host-time detail: the copy-table fill, and
+/// inside each iteration the packet emit and the local selection (mark-bit
+/// readback, target-set DP, page-load counts) around the sort/rank/route
+/// phases.
 const telemetry::Label kCullIter = telemetry::intern("culling.iter");
+const telemetry::Label kCullCopies = telemetry::intern("culling.copies");
+const telemetry::Label kCullEmit = telemetry::intern("culling.emit");
+const telemetry::Label kCullSelect = telemetry::intern("culling.select");
 
 }  // namespace
+
+void CopyTable::resize(const Placement& placement, i64 n) {
+  const HmosParams& params = placement.map().params();
+  k_ = params.k();
+  red_ = params.redundancy();
+  rows_.resize(static_cast<size_t>(n * (k_ + 1) * red_));
+  vars_.resize(static_cast<size_t>(n), -1);
+}
+
+void CopyTable::fill(const Placement& placement, i32 node, i64 var) {
+  i32* r = rows_.data() + static_cast<i64>(node) * (k_ + 1) * red_;
+  placement.walk_copies(var, r, r + k_ * red_);
+  vars_[static_cast<size_t>(node)] = var;
+}
 
 Culling::Culling(Mesh& mesh, const Placement& placement,
                  SortOptions sort_opts)
@@ -69,99 +88,109 @@ std::vector<std::vector<i64>> Culling::run(
   const NodeOrder& order = mesh_.order();
   std::vector<char> candidate(static_cast<size_t>(n * ncodes), 0);
   std::vector<char> marked(static_cast<size_t>(n * ncodes), 0);
-  // Level-i page id of each selected copy, cached by the emit loop (same
-  // slab indexing). The selection loop only ever shrinks a node's candidate
-  // set, so entries written at emit time cover every later read this iter.
-  std::vector<i64> pages(static_cast<size_t>(n * ncodes), 0);
   const auto row_of = [&](i64 slot, std::vector<char>& slab) -> char* {
     return slab.data() + slot * ncodes;
   };
-  const auto init_codes = selector_.initial(0);
-  std::vector<char> avail;
-  for (i64 node = 0; node < n; ++node) {
-    const i64 var = vars[static_cast<size_t>(node)];
-    if (var < 0) continue;
-    MP_REQUIRE(var < params.num_vars(),
-               "variable " << var << " outside shared memory");
-    char* bits = row_of(order.slot_of(static_cast<i32>(node)), candidate);
-    if (!degraded) {
-      for (i64 code : init_codes) bits[code] = 1;
-      continue;
+
+  // Set-up: one copy-tree walk per requesting processor fills the copy table
+  // (only requesting rows, so a sparse step pays O(active) walks), then
+  // every processor starts from C_v^0. It runs inside iteration 1's stage
+  // span, so a trace charges all of CULLING's host time to its iterations.
+  const auto set_up = [&] {
+    copies_.resize(placement_, n);
+    {
+      telemetry::Span copies_span(telemetry::Cat::Phase, kCullCopies);
+      mesh_.for_each_node(kNodeGrain, [&](i32 node) {
+        const i64 var = vars[static_cast<size_t>(node)];
+        if (var >= 0) copies_.fill(placement_, node, var);
+      });
     }
-    // Surviving-copy bitmap: a copy is available iff the module of the node
-    // it lives on is alive. The plan is static, so this is decided once.
-    avail.assign(static_cast<size_t>(ncodes), 1);
-    i64 lost = 0;
-    for (i64 code = 0; code < ncodes; ++code) {
-      const u64 copy = static_cast<u64>(var) *
-                           static_cast<u64>(params.redundancy()) +
-                       static_cast<u64>(code);
-      const i32 holder = mesh_.node_id(placement_.locate(copy).node);
-      if (plan->module_dead(holder)) {
-        avail[static_cast<size_t>(code)] = 0;
-        ++lost;
-        if (count_lost) mesh_.counters().add_copies_lost(holder, 1);
+
+    const auto init_codes = selector_.initial(0);
+    std::vector<char> avail;
+    TargetSelector::Scratch scratch;
+    for (i64 node = 0; node < n; ++node) {
+      const i64 var = vars[static_cast<size_t>(node)];
+      if (var < 0) continue;
+      char* bits = row_of(order.slot_of(static_cast<i32>(node)), candidate);
+      if (!degraded) {
+        for (i64 code : init_codes) bits[code] = 1;
+        continue;
       }
-    }
-    st.copies_lost += lost;
-    if (lost == 0) {
-      for (i64 code : init_codes) bits[static_cast<size_t>(code)] = 1;
-      continue;
-    }
-    // Smallest degradation level whose requirement the survivors still meet.
-    // Level k = ordinary target set; failing even that means the variable is
-    // unreadable, reported instead of asserted.
-    TargetSelector::Selection sel;
-    int d = -1;
-    for (int lvl = 0; lvl <= params.k(); ++lvl) {
-      sel = selector_.select(lvl, avail, avail);
-      if (sel.feasible) {
-        d = lvl;
-        break;
+      // Surviving-copy bitmap: a copy is available iff the module of the
+      // node it lives on is alive. The plan is static, so this is decided
+      // once.
+      avail.assign(static_cast<size_t>(ncodes), 1);
+      i64 lost = 0;
+      for (i64 code = 0; code < ncodes; ++code) {
+        const i32 holder = copies_.holder(static_cast<i32>(node), code);
+        if (plan->module_dead(holder)) {
+          avail[static_cast<size_t>(code)] = 0;
+          ++lost;
+          if (count_lost) mesh_.counters().add_copies_lost(holder, 1);
+        }
       }
+      st.copies_lost += lost;
+      if (lost == 0) {
+        for (i64 code : init_codes) bits[static_cast<size_t>(code)] = 1;
+        continue;
+      }
+      // Smallest degradation level whose requirement the survivors still
+      // meet; the selection writes C_v^0 straight into the row. Level k =
+      // ordinary target set; failing even that means the variable is
+      // unreadable, reported instead of asserted.
+      int d = 0;
+      while (d <= params.k() &&
+             selector_.select_into(d, avail.data(), avail.data(), scratch,
+                                   bits) < 0) {
+        ++d;
+      }
+      if (d > params.k()) {
+        ++st.requests_failed;
+        if (request_ok != nullptr) {
+          (*request_ok)[static_cast<size_t>(node)] = 0;
+        }
+        vars[static_cast<size_t>(node)] = -1;
+        continue;
+      }
+      if (d > 0) ++st.requests_degraded;
+      deg[static_cast<size_t>(node)] = d;
     }
-    if (d < 0) {
-      ++st.requests_failed;
-      if (request_ok != nullptr) (*request_ok)[static_cast<size_t>(node)] = 0;
-      vars[static_cast<size_t>(node)] = -1;
-      continue;
-    }
-    if (d > 0) ++st.requests_degraded;
-    deg[static_cast<size_t>(node)] = d;
-    for (i64 code : sel.codes) bits[code] = 1;
-  }
+  };
   const std::vector<i64>& request_vars_eff = vars;
 
   for (int iter = 1; iter <= params.k(); ++iter) {
     telemetry::Span iter_span(telemetry::Cat::Stage, kCullIter, iter);
+    if (iter == 1) set_up();
     const i64 steps_before = st.steps;
     const i64 tau = params.culling_threshold(iter);
 
-    // Emit one packet per selected copy, keyed by its level-i page (cached
-    // for the load instrumentation below). Each node fills only its own
-    // buffer and slab row, so the loop chunks over physical slots.
-    execution_pool().for_each_chunk(n, kNodeGrain, [&](i64 lo, i64 hi) {
-      for (i64 slot = lo; slot < hi; ++slot) {
-        const i32 node = order.id_of(static_cast<i32>(slot));
-        const i64 var = request_vars_eff[static_cast<size_t>(node)];
-        if (var < 0) continue;
-        const char* bits = row_of(slot, candidate);
-        i64* page_row = pages.data() + slot * ncodes;
-        auto& b = mesh_.buf(node);
-        for (i64 code = 0; code < ncodes; ++code) {
-          if (!bits[code]) continue;
-          Packet p;
-          p.var = var;
-          p.copy = static_cast<u64>(var) *
-                       static_cast<u64>(params.redundancy()) +
-                   static_cast<u64>(code);
-          p.key = static_cast<u64>(placement_.page_at(p.copy, iter));
-          p.origin = node;
-          page_row[code] = static_cast<i64>(p.key);
-          b.push_back(p);
+    // Emit one packet per selected copy, keyed by its level-i page from the
+    // copy table. Each node fills only its own buffer, so the loop chunks
+    // over physical slots.
+    {
+      telemetry::Span emit_span(telemetry::Cat::Phase, kCullEmit, iter);
+      execution_pool().for_each_chunk(n, kNodeGrain, [&](i64 lo, i64 hi) {
+        for (i64 slot = lo; slot < hi; ++slot) {
+          const i32 node = order.id_of(static_cast<i32>(slot));
+          const i64 var = request_vars_eff[static_cast<size_t>(node)];
+          if (var < 0) continue;
+          const char* bits = row_of(slot, candidate);
+          auto& b = mesh_.buf(node);
+          for (i64 code = 0; code < ncodes; ++code) {
+            if (!bits[code]) continue;
+            Packet p;
+            p.var = var;
+            p.copy = static_cast<u64>(var) *
+                         static_cast<u64>(params.redundancy()) +
+                     static_cast<u64>(code);
+            p.key = static_cast<u64>(copies_.page(node, code, iter));
+            p.origin = node;
+            b.push_back(p);
+          }
         }
-      }
-    });
+      });
+    }
 
     // Sort by page, rank within page, mark the first tau of each page.
     st.steps += sort_region(mesh_, whole, sort_opts_);
@@ -176,6 +205,7 @@ std::vector<std::vector<i64>> Culling::run(
     // Return the mark bits to the owners.
     st.steps += route_sorted(mesh_, whole, sort_opts_).steps;
 
+    telemetry::Span select_span(telemetry::Cat::Phase, kCullSelect, iter);
     // Local selection: prefer marked copies; add unmarked only if needed.
     // A node only writes its own slab rows and drains its own buffer, so
     // both passes chunk over physical slots.
@@ -198,7 +228,7 @@ std::vector<std::vector<i64>> Culling::run(
     });
     execution_pool().for_each_chunk(n, /*min_grain=*/8, [&](i64 lo, i64 hi) {
       std::vector<char> m_only(static_cast<size_t>(ncodes), 0);
-      std::vector<char> cand_vec;  // select() wants a vector view of the row
+      TargetSelector::Scratch scratch;
       for (i64 slot = lo; slot < hi; ++slot) {
         const i32 node = order.id_of(static_cast<i32>(slot));
         if (request_vars_eff[static_cast<size_t>(node)] < 0) continue;
@@ -209,50 +239,45 @@ std::vector<std::vector<i64>> Culling::run(
         // below carries from iteration to iteration unchanged.
         const int level =
             degraded ? std::max(iter, deg[static_cast<size_t>(node)]) : iter;
-        // Try M alone first (the pseudo-code's "if M contains a target set").
+        // Try M alone first (the pseudo-code's "if M contains a target set");
+        // the selection overwrites the candidate row in place.
         simd::and_bytes(reinterpret_cast<unsigned char*>(m_only.data()),
                         reinterpret_cast<const unsigned char*>(cand),
                         reinterpret_cast<const unsigned char*>(mk), ncodes);
-        TargetSelector::Selection sel =
-            selector_.select(level, m_only, m_only);
-        if (!sel.feasible) {
-          // Augment with the fewest possible unmarked copies from C.
-          cand_vec.assign(cand, cand + ncodes);
-          sel = selector_.select(level, cand_vec, m_only);
-          MP_ASSERT(sel.feasible,
-                    "C_v^{i-1} lost the level-" << level
-                                                << " target set invariant");
+        if (selector_.select_into(level, m_only.data(), m_only.data(),
+                                  scratch, cand) >= 0) {
+          continue;
         }
-        std::memset(cand, 0, static_cast<size_t>(ncodes));
-        for (i64 code : sel.codes) cand[code] = 1;
+        // Augment with the fewest possible unmarked copies from C.
+        const i64 unmarked =
+            selector_.select_into(level, cand, m_only.data(), scratch, cand);
+        MP_ASSERT(unmarked >= 0, "C_v^{i-1} lost the level-"
+                                     << level << " target set invariant");
       }
     });
     // Local DP over the q^k-leaf tree: O(q^k) per processor (Eq. 2 charge).
     st.steps += params.redundancy();
 
-    // Instrumentation: per-level-i page load of the union of C_v^i, read
-    // from the page cache the emit loop filled (C_v^i is a subset of the
-    // emitted C_v^{i-1}, so every live code has a cached page). Each chunk
-    // counts into its own map; maps sum-merge under a mutex, which is
-    // commutative, so the final counts are thread-count invariant.
-    std::unordered_map<i64, i64> load;
-    std::mutex load_mu;
-    execution_pool().for_each_chunk(n, kNodeGrain, [&](i64 lo, i64 hi) {
-      std::unordered_map<i64, i64> chunk_load;
-      for (i64 slot = lo; slot < hi; ++slot) {
+    // Instrumentation: per-level-i page load of the union of C_v^i, counted
+    // into the dense per-page vector, then reset entry by entry so the next
+    // count starts from zero in O(selected copies).
+    page_load_.resize(placement_.pages(iter).size());
+    const auto for_each_selected = [&](auto&& fn) {
+      for (i64 slot = 0; slot < n; ++slot) {
         const i32 node = order.id_of(static_cast<i32>(slot));
         if (request_vars_eff[static_cast<size_t>(node)] < 0) continue;
         const char* bits = row_of(slot, candidate);
-        const i64* page_row = pages.data() + slot * ncodes;
         for (i64 code = 0; code < ncodes; ++code) {
-          if (bits[code]) ++chunk_load[page_row[code]];
+          if (bits[code]) {
+            fn(page_load_[static_cast<size_t>(copies_.page(node, code, iter))]);
+          }
         }
       }
-      const std::lock_guard<std::mutex> lock(load_mu);
-      for (const auto& [page, cnt] : chunk_load) load[page] += cnt;
-    });
+    };
     i64 max_load = 0;
-    for (const auto& [page, cnt] : load) max_load = std::max(max_load, cnt);
+    for_each_selected(
+        [&](i32& load) { max_load = std::max<i64>(max_load, ++load); });
+    for_each_selected([](i32& load) { load = 0; });
     st.max_page_load.push_back(max_load);
     st.bound.push_back(params.theorem3_bound(iter));
     iter_span.set_steps(st.steps - steps_before);

@@ -16,7 +16,13 @@
 // select() extracts a minimal level-i target set from a candidate leaf set
 // while MINIMIZING the number of chosen leaves outside `marked` — exactly
 // the "extract from M if possible, otherwise add a cheapest S" step of the
-// CULLING pseudo-code, done with a bottom-up DP over the q-ary tree.
+// CULLING pseudo-code. It is a bottom-up DP over flat per-depth arrays: the
+// nodes at tree depth d are the q^d digit prefixes, and the children of
+// prefix p are p + c q^d (c in [0, q)) one depth below. Every node keeps its
+// cost (chosen leaves outside `marked`, -1 if infeasible) and a bitmask of
+// the children it chose: its `need` cheapest feasible children, the lower
+// digit first on equal cost. The chosen leaves are then read out top-down
+// from the root's mask.
 #pragma once
 
 #include <vector>
@@ -41,10 +47,24 @@ class TargetSelector {
     i64 unmarked = 0;        ///< chosen leaves outside `marked`
   };
 
+  /// DP working storage, one entry per tree node (depth-major). Keep one per
+  /// thread: select_into() sizes it on first use and allocates nothing after.
+  struct Scratch {
+    std::vector<i64> cost;    ///< -1 = infeasible
+    std::vector<u64> chosen;  ///< internal nodes: bit c = child c chosen
+  };
+
   /// Minimal level-`level` target set within `candidate` (bitmaps over
   /// [0, q^k)), minimizing |chosen \ marked|. level in [0, k].
   Selection select(int level, const std::vector<char>& candidate,
                    const std::vector<char>& marked) const;
+
+  /// The same DP on raw q^k bitmaps. Returns |chosen \ marked| and overwrites
+  /// `out` with the chosen leaves (`out` may alias `candidate`, or be null to
+  /// test feasibility only); returns -1 and leaves `out` untouched when
+  /// `candidate` holds no level-`level` target set.
+  i64 select_into(int level, const char* candidate, const char* marked,
+                  Scratch& scratch, char* out) const;
 
   /// Minimal level-`level` target set assuming all copies are available.
   std::vector<i64> initial(int level) const;
@@ -60,21 +80,15 @@ class TargetSelector {
   static bool intersects(const std::vector<i64>& a, const std::vector<i64>& b);
 
  private:
-  struct Node {
-    bool feasible = false;
-    i64 cost = 0;
-    std::vector<i64> codes;
-  };
-  Node solve(int depth, i64 prefix, int level,
-             const std::vector<char>& candidate,
-             const std::vector<char>& marked) const;
-  bool accessed(int depth, i64 prefix, int level,
-                const std::vector<char>& leaves) const;
+  /// Sets out[code] for every leaf chosen below the node `prefix` at `depth`.
+  void mark_chosen(const u64* chosen, int depth, i64 prefix, char* out) const;
 
   i64 q_;
   int k_;
   i64 codes_;
   std::vector<i64> qpow_;
+  /// offset_[d] = index of depth d's first node in the flat arrays.
+  std::vector<i64> offset_;
 };
 
 }  // namespace meshpram

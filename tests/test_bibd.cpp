@@ -135,6 +135,7 @@ TEST_P(BibdProperties, OutputNeighborEnumerationAndRanks) {
       const i64 w = g.output_neighbor(u, r);
       EXPECT_TRUE(g.adjacent(w, u)) << "u=" << u << " r=" << r;
       EXPECT_EQ(g.edge_rank(w, u), r);
+      EXPECT_EQ(g.input_rank(w), r);
       seen.insert(w);
     }
     EXPECT_EQ(seen.size(), static_cast<size_t>(g.output_degree()))
@@ -263,6 +264,7 @@ TEST_P(SubgraphProperties, NeighborRankRoundTrip) {
         EXPECT_LT(v, m);
         EXPECT_TRUE(g.adjacent(v, u));
         EXPECT_EQ(g.edge_rank(v, u), r) << "m=" << m << " u=" << u;
+        EXPECT_EQ(g.input_rank(v), r) << "m=" << m << " u=" << u;
         seen.insert(v);
       }
       EXPECT_EQ(static_cast<i64>(seen.size()), g.output_degree(u));

@@ -291,5 +291,65 @@ TEST(PlacementDegraded, PacksPagesWhenMeshIsTooSmall) {
   }
 }
 
+struct WalkConfig {
+  i64 q;
+  int k;
+  i64 vars;
+  int rows;
+  int cols;
+};
+
+TEST(PlacementWalk, CopyTreeWalkMatchesPerCopyLookups) {
+  // Every code of sampled variables: the walk's page at each level equals
+  // page_at() and locate().page, and its holder equals locate().node.
+  // Square and non-square meshes, with and without t_i < 1 packing.
+  const WalkConfig configs[] = {
+      {3, 1, 117, 8, 8},      {3, 2, 4096, 32, 32}, {3, 2, 1080, 16, 24},
+      {3, 3, 1080, 32, 32},   {3, 3, 1080, 24, 40}, {3, 3, 100000, 64, 64},
+      {3, 2, 1080, 8, 8},     {4, 1, 320, 8, 8},    {4, 2, 1344, 12, 20},
+      {4, 3, 5000, 16, 16},   {5, 1, 750, 12, 12},  {5, 2, 3875, 20, 12},
+      {5, 3, 3875, 16, 16},
+  };
+  int degraded = 0;
+  for (const WalkConfig& cfg : configs) {
+    HmosParams params(cfg.q, cfg.k, cfg.vars, cfg.rows, cfg.cols);
+    MemoryMap map(params);
+    Placement placement(map, Region(0, 0, cfg.rows, cfg.cols));
+    if (placement.degraded()) ++degraded;
+    const i64 red = params.redundancy();
+    std::vector<i32> pages(static_cast<size_t>(cfg.k * red), -1);
+    std::vector<i32> holders(static_cast<size_t>(red), -1);
+    Rng rng(static_cast<u64>(cfg.q * 1000 + cfg.k * 100 + cfg.rows));
+    std::vector<i64> vars = {0, params.num_vars() - 1};
+    for (int t = 0; t < 20; ++t) {
+      vars.push_back(rng.range(0, params.num_vars() - 1));
+    }
+    for (const i64 var : vars) {
+      placement.walk_copies(var, pages.data(), holders.data());
+      for (i64 code = 0; code < red; ++code) {
+        const u64 copy =
+            static_cast<u64>(var) * static_cast<u64>(red) +
+            static_cast<u64>(code);
+        const CopyLoc loc = placement.locate(copy);
+        for (int level = 1; level <= cfg.k; ++level) {
+          const i64 walked =
+              pages[static_cast<size_t>((level - 1) * red + code)];
+          ASSERT_EQ(walked, placement.page_at(copy, level))
+              << "q=" << cfg.q << " k=" << cfg.k << ' ' << cfg.rows << 'x'
+              << cfg.cols << " var=" << var << " code=" << code
+              << " level=" << level;
+          ASSERT_EQ(walked, loc.page[static_cast<size_t>(level - 1)]);
+        }
+        ASSERT_EQ(holders[static_cast<size_t>(code)],
+                  loc.node.r * cfg.cols + loc.node.c)
+            << "q=" << cfg.q << " k=" << cfg.k << ' ' << cfg.rows << 'x'
+            << cfg.cols << " var=" << var << " code=" << code;
+      }
+    }
+  }
+  EXPECT_GT(degraded, 0);
+  EXPECT_LT(degraded, static_cast<int>(std::size(configs)));
+}
+
 }  // namespace
 }  // namespace meshpram
