@@ -2,16 +2,9 @@
 
 #include <algorithm>
 
-#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace meshpram {
-
-namespace {
-
-const telemetry::Label kDrainLabel = telemetry::intern("mesh.drain");
-
-}  // namespace
 
 Mesh::Mesh(int rows, int cols, NodeOrderKind order)
     : rows_(rows), cols_(cols), order_(rows, cols, order) {
@@ -48,23 +41,6 @@ void Mesh::clear_buffers() {
 void Mesh::clear_buffers(const Region& region) {
   for (RegionCursor cur = cursor(region); cur.valid(); cur.advance()) {
     bufs_[static_cast<size_t>(order_.slot_of(cur.id()))].clear();
-  }
-}
-
-std::vector<Packet> Mesh::drain(const Region& region) {
-  std::vector<Packet> out;
-  drain_into(region, out);
-  return out;
-}
-
-void Mesh::drain_into(const Region& region, std::vector<Packet>& out) {
-  telemetry::Span span(telemetry::Cat::Phase, kDrainLabel);
-  out.clear();
-  out.reserve(static_cast<size_t>(total_packets(region)));
-  for (RegionCursor cur = cursor(region); cur.valid(); cur.advance()) {
-    auto& b = bufs_[static_cast<size_t>(order_.slot_of(cur.id()))];
-    out.insert(out.end(), b.begin(), b.end());
-    b.clear();
   }
 }
 

@@ -235,16 +235,6 @@ class Mesh {
   /// Same, restricted to the nodes of `region`.
   void clear_buffers(const Region& region);
 
-  /// Gathers (and removes) all packets buffered in `region`, in snake order.
-  /// The result is reserved up-front via total_packets; the emptied node
-  /// buffers keep their capacity (reuse contract above).
-  std::vector<Packet> drain(const Region& region);
-
-  /// drain() into a caller-owned buffer (cleared first, capacity kept), so
-  /// steady-state sort calls recycle one allocation instead of returning a
-  /// fresh vector per call.
-  void drain_into(const Region& region, std::vector<Packet>& out);
-
   /// Reusable flat transit arenas for route_greedy (mesh/arena.hpp). One
   /// lease per route call; pooled because parallel_for_regions runs several
   /// route calls concurrently. Makes Mesh non-copyable (the pool holds a

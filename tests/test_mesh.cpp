@@ -130,21 +130,6 @@ TEST(Mesh, BuffersAndLoads) {
   EXPECT_EQ(mesh.total_packets(g), 0);
 }
 
-TEST(Mesh, DrainCollectsInSnakeOrderAndEmpties) {
-  Mesh mesh(2, 3);
-  for (i32 id = 0; id < mesh.size(); ++id) {
-    Packet p;
-    p.key = static_cast<u64>(id);
-    mesh.buf(id).push_back(p);
-  }
-  const auto all = mesh.drain(mesh.whole());
-  ASSERT_EQ(all.size(), 6u);
-  // Snake order of a 2x3: (0,0)(0,1)(0,2)(1,2)(1,1)(1,0) = ids 0,1,2,5,4,3.
-  const std::vector<u64> want{0, 1, 2, 5, 4, 3};
-  for (size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i].key, want[i]);
-  EXPECT_EQ(mesh.total_packets(mesh.whole()), 0);
-}
-
 TEST(Mesh, StoresPersistAcrossBufferClears) {
   Mesh mesh(2, 2);
   mesh.store(3)[42] = CopySlot{7, 1};
