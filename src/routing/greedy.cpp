@@ -252,6 +252,24 @@ void route_stripe_worker(RouteShared& sh, int rank) {
   sh.slots[static_cast<size_t>(rank)].steps = steps;
 }
 
+/// Read-only pass for a route with nothing in flight: checks every packet's
+/// destination like the set-up does and counts the packets into `stats`.
+/// Returns false at the first packet that still has to move.
+bool all_home(const Mesh& mesh, const Region& region, RouteStats& stats) {
+  for (RegionCursor cur = mesh.cursor(region); cur.valid(); cur.advance()) {
+    for (const Packet& p : mesh.buf(cur.id())) {
+      MP_REQUIRE(p.dest >= 0 && p.dest < mesh.size(),
+                 "packet without destination");
+      MP_REQUIRE(region.contains(mesh.coord(p.dest)),
+                 "destination " << mesh.coord(p.dest)
+                                << " outside routing region " << region);
+      if (p.dest != cur.id()) return false;
+      ++stats.packets;
+    }
+  }
+  return true;
+}
+
 /// The fault-free hop rule for the shared serial loop (greedy_serial.hpp):
 /// per outgoing direction, the queued record with the largest remaining
 /// distance, first occurrence in queue order breaking ties — the same choice
@@ -292,14 +310,6 @@ RouteStats route_greedy(Mesh& mesh, const Region& region) {
 
 RouteStats route_greedy(Mesh& mesh, const Region& region,
                         const Region& detour_scope) {
-  telemetry::Span span(telemetry::Cat::Phase, kRouteGreedy);
-  // Per-node congestion counters are hot-loop writes; hoist the gate. Each
-  // node's cells are written by exactly one stripe worker (sources count
-  // forwards, receivers observe queues, and both are node-owned), so the
-  // counter grids stay thread-count invariant.
-  const bool count_congestion = telemetry::sampling_on();
-  RouteStats stats;
-
   // Fault plans that touch routing divert to the serial fault-aware kernel
   // (stall backoff, detours, drop retransmission), whose detours may cross
   // all of `detour_scope`. Module-only plans — and no plan at all — keep the
@@ -314,6 +324,20 @@ RouteStats route_greedy(Mesh& mesh, const Region& region,
                                        region.c0() + region.cols() - 1})),
              "routing region " << region << " outside detour scope "
                                << scope);
+
+  // Nothing in flight (one-node regions, or a route_sorted whose sort
+  // already left every packet at its destination): the read-only pass is
+  // the whole call, with no span and no arena lease.
+  RouteStats stats;
+  if (all_home(mesh, region, stats)) return stats;
+  stats = RouteStats{};
+
+  telemetry::Span span(telemetry::Cat::Phase, kRouteGreedy);
+  // Per-node congestion counters are hot-loop writes; hoist the gate. Each
+  // node's cells are written by exactly one stripe worker (sources count
+  // forwards, receivers observe queues, and both are node-owned), so the
+  // counter grids stay thread-count invariant.
+  const bool count_congestion = telemetry::sampling_on();
 
   RouteArena* const arena = mesh.route_arenas().acquire();
   struct Lease {

@@ -30,7 +30,9 @@ struct RouteStats {
 /// Routes every packet buffered in `region` to its Packet::dest node buffer.
 /// All destinations must lie inside `region`. Returns cycle-accurate stats
 /// (`packets` and `total_distance` count the packets buffered in `region`,
-/// at-home ones included).
+/// at-home ones included). When every packet is already home, the call is
+/// one read-only pass over the buffers (destinations still checked) and
+/// records no span.
 ///
 /// Regions of at least stripe_min_nodes() nodes (mesh/parallel.hpp) are
 /// decomposed into row stripes executed by a worker team with a barrier per
