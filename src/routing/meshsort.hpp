@@ -23,6 +23,16 @@
 // charges the full data-independent worst-case round count (the algorithm is
 // oblivious, so this is exactly what a hardware run would cost without the
 // early-exit wire); it exists so that large benches stay fast.
+//
+// The Analytic placement is computed directly: the sort order is a strict
+// total order and packet i of it lands at snake position i / cap, so any
+// correct host sort yields bit-identical buffers. It gathers the packets
+// into per-position offsets, counting-sorts their records by key (protocol
+// keys are dense page ids or snake positions), orders each key's bucket, and
+// scatters cap packets per position. The passes run on the execution pool
+// when the caller is not itself a pool task and the pool has more than one
+// thread; otherwise (region tasks, dist rank threads, 1-thread runs) the same
+// passes run serially. See DESIGN.md §4b.
 #pragma once
 
 #include "mesh/machine.hpp"
