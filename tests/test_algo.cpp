@@ -86,7 +86,9 @@ TEST(Inputs, PartitionAndListGeneratorsAreWellFormed) {
   EXPECT_EQ(std::count(succ.begin(), succ.end(), -1), 1);  // exactly one tail
   std::set<i64> targets;
   for (const i64 s : succ) {
-    if (s >= 0) EXPECT_TRUE(targets.insert(s).second);  // a real chain
+    if (s >= 0) {
+      EXPECT_TRUE(targets.insert(s).second);  // a real chain
+    }
   }
 }
 

@@ -282,7 +282,9 @@ TEST_P(SubgraphProperties, DecompositionIdentity) {
     // m = q^{d-1}((q^l - 1)/(q-1) + w) + z  (Appendix eq. 11)
     const i64 qd1 = ipow(q, d - 1);
     EXPECT_EQ(qd1 * ((ipow(q, g.l()) - 1) / (q - 1) + g.w()) + g.z(), m);
-    if (g.l() < d) EXPECT_LT(g.w(), ipow(q, g.l()));
+    if (g.l() < d) {
+      EXPECT_LT(g.w(), ipow(q, g.l()));
+    }
     EXPECT_LT(g.z(), qd1);
   }
 }

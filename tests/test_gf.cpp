@@ -32,7 +32,9 @@ TEST_P(FieldAxioms, MultiplicationGroup) {
   for (i64 a = 0; a < q; ++a) {
     EXPECT_EQ(f.mul(a, 1), a);
     EXPECT_EQ(f.mul(a, 0), 0);
-    if (a != 0) EXPECT_EQ(f.mul(a, f.inv(a)), 1);
+    if (a != 0) {
+      EXPECT_EQ(f.mul(a, f.inv(a)), 1);
+    }
     for (i64 b = 0; b < q; ++b) {
       EXPECT_EQ(f.mul(a, b), f.mul(b, a));
       for (i64 c = 0; c < q; ++c) {
@@ -70,7 +72,9 @@ TEST_P(FieldAxioms, SubAndDivInvertAddAndMul) {
   for (i64 a = 0; a < q; ++a) {
     for (i64 b = 0; b < q; ++b) {
       EXPECT_EQ(f.sub(f.add(a, b), b), a);
-      if (b != 0) EXPECT_EQ(f.div(f.mul(a, b), b), a);
+      if (b != 0) {
+        EXPECT_EQ(f.div(f.mul(a, b), b), a);
+      }
     }
   }
 }

@@ -98,7 +98,9 @@ TEST_P(TargetSweep, SelectionRespectsCandidatesAndPrefersMarked) {
     EXPECT_TRUE(sel.is_level_target_set(bits, level));
     // Preference sanity: selecting with everything marked costs 0.
     const auto s2 = sel.select(level, cand, cand);
-    if (s2.feasible) EXPECT_EQ(s2.unmarked, 0);
+    if (s2.feasible) {
+      EXPECT_EQ(s2.unmarked, 0);
+    }
   }
 }
 
