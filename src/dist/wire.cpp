@@ -123,8 +123,8 @@ std::string encode_boundary(const std::vector<BoundaryHop>& hops,
   w.put_u32(static_cast<u32>(hops.size()));
   for (const BoundaryHop& h : hops) {
     w.put_u32(static_cast<u32>(h.col));
-    w.put_u32((static_cast<u32>(static_cast<u16>(h.dest_r)) << 16) |
-              static_cast<u32>(static_cast<u16>(h.dest_c)));
+    w.put_u32((static_cast<u32>(static_cast<u16>(h.dr)) << 16) |
+              static_cast<u32>(static_cast<u16>(h.dc)));
     put_packet(w, h.payload);
   }
   if (checksum) w.put_u64(fnv1a64(out));
@@ -142,8 +142,8 @@ std::vector<BoundaryHop> decode_boundary(std::string_view frame) {
     BoundaryHop h;
     h.col = static_cast<i32>(r.get_u32());
     const u32 rc = r.get_u32();
-    h.dest_r = static_cast<i16>(static_cast<u16>(rc >> 16));
-    h.dest_c = static_cast<i16>(static_cast<u16>(rc & 0xffffu));
+    h.dr = static_cast<i16>(static_cast<u16>(rc >> 16));
+    h.dc = static_cast<i16>(static_cast<u16>(rc & 0xffffu));
     h.payload = get_packet(r);
     hops.push_back(h);
   }

@@ -9,10 +9,10 @@
 //   fills        apply-phase read results of one band's nodes (replicated
 //                fallback): per node ascending, u32 count + (value,
 //                timestamp) pairs in buffer order;
-//   boundary     the per-sweep boundary-lane hops of the distributed router:
-//                u32 count + per hop (col, dest_r, dest_c, packet), with an
-//                FNV-1a trailer so the validate mode can reject a mangled
-//                frame at the receiving edge.
+//   boundary     the per-step boundary-lane hops of the distributed router:
+//                u32 count + per hop (col, dr, dc, packet), with an FNV-1a
+//                trailer so the validate mode can reject a mangled frame at
+//                the receiving edge.
 #pragma once
 
 #include <string>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "dist/partition.hpp"
+#include "mesh/arena.hpp"
 #include "mesh/machine.hpp"
 #include "mesh/packet.hpp"
 #include "util/bytes.hpp"
@@ -45,18 +46,12 @@ std::string encode_band_fills(Mesh& mesh, const RankBand& band);
 void decode_band_fills(Mesh& mesh, const RankBand& band,
                        std::string_view frame);
 
-/// One boundary-lane hop: a packet leaving the sender's band through a
-/// vertical link, to be deposited into the receiver's incoming lane at
-/// (boundary_row, col).
-struct BoundaryHop {
-  i32 col = 0;
-  i16 dest_r = 0;
-  i16 dest_c = 0;
-  Packet payload;
-};
-
-/// `checksum` appends the FNV-1a trailer (validate mode); decode verifies it
-/// when present (flagged in the frame header).
+/// Boundary frames carry BoundaryHop (mesh/arena.hpp): a packet leaving the
+/// sender's band through a vertical link, deposited into the receiver's
+/// incoming lane at column `col` of its edge row. The two i16 fields are the
+/// packet's remaining offset (dr, dc) to its destination, counted from that
+/// node. `checksum` appends the FNV-1a trailer (validate mode); decode
+/// verifies it when present (flagged in the frame header).
 std::string encode_boundary(const std::vector<BoundaryHop>& hops,
                             bool checksum);
 std::vector<BoundaryHop> decode_boundary(std::string_view frame);

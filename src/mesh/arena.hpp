@@ -1,28 +1,30 @@
-// Flat, reusable transit storage for the routing kernels.
+// Flat, reusable transit storage for the routing loop.
 //
 // route_greedy used to allocate a vector-of-vectors of full Packets per call
 // — two heap allocations per node per call and ~112 bytes moved per hop. The
 // arena replaces that with three flat slabs, recycled across calls:
 //
-//   payload   in-flight Packets, written once at setup and read once at
-//             delivery; they never move while the packet is in transit.
+//   payload   in-flight Packets, written once at set-up (or when a hop enters
+//             the band from a neighbouring band) and read once at delivery;
+//             they never move while the packet is in transit.
 //   queues    per-node transit queues of 8-byte TransitRec (payload handle +
-//             cached destination), laid out strided: node `pos`'s queue lives
-//             at [pos*cap, pos*cap + count[pos]). The per-step sweeps walk
-//             records, not Packets.
+//             remaining offset), laid out strided: node `pos`'s queue lives
+//             at [pos*cap, pos*cap + count[pos]). The loop walks records, not
+//             Packets.
 //   lanes     per-node incoming mailboxes, one slot per direction of motion.
 //             A node receives at most one packet per incoming link per step
 //             (each neighbor forwards at most one packet per outgoing
-//             direction), so four slots suffice — and because each lane has
-//             exactly one writer (the neighbor on that side), stripe workers
-//             can deposit boundary packets without locks. Flags are separate
-//             bytes, not a packed mask, so concurrent lane writes to one node
-//             never touch the same byte.
+//             direction), so four slots suffice, and each lane has exactly
+//             one writer: the neighbour on that side, or the band's exchange
+//             for the lane a hop from the neighbouring band lands in.
 //
-// Ownership/reuse contract: arenas are leased from Mesh::route_arenas() for
-// the duration of one route_greedy call and returned to the pool afterwards,
-// keeping their heap capacity. Pooling (rather than one arena on the Mesh) is
-// required because parallel_for_regions runs several route calls at once.
+// Ownership/reuse contract: one arena holds one band of one route call — a
+// whole routing region for a team of one, one row band of it in a stripe
+// team or on a rank. Arenas are leased from Mesh::route_arenas() for the
+// duration of the call and returned to the pool afterwards, keeping their
+// heap capacity. Pooling (rather than one arena on the Mesh) is required
+// because parallel_for_regions runs several route calls at once and a stripe
+// team leases one arena per band.
 #pragma once
 
 #include <cstring>
@@ -38,7 +40,7 @@
 
 namespace meshpram {
 
-/// Entry of the serial router's active lists: a snake position with its
+/// Entry of the routing loop's active lists: a snake position with its
 /// coordinate cached, so the per-step loops never re-derive (r, c) from the
 /// position. 8 bytes.
 struct ActiveNode {
@@ -47,20 +49,32 @@ struct ActiveNode {
   i16 c;
 };
 
-/// A packet in transit: handle into RouteArena::payload plus the destination
-/// coordinate cached at setup, so the per-step loops stop re-deriving it from
-/// the node id. 8 bytes — a queue sweep touches 14x less memory than moving
-/// Packets.
+/// A packet in transit: handle into RouteArena::payload plus the remaining
+/// offset (dr, dc) from the node that holds the record to the packet's
+/// destination, written at set-up and updated by every hop. The record's
+/// direction and distance are then two register-width reads. 8 bytes — a
+/// queue scan touches 14x less memory than moving Packets.
 struct TransitRec {
   u32 handle;
-  i16 dest_r;
-  i16 dest_c;
+  i16 dr;
+  i16 dc;
 };
 static_assert(sizeof(TransitRec) == 8, "TransitRec must stay one word");
 
+/// A hop that leaves its band through the top or bottom edge: it lands at
+/// column `col` of the neighbouring band's edge row, with the remaining
+/// offset (dr, dc) counted from that node. Stripe teams pass it in memory,
+/// rank bands as a boundary frame (dist/wire.hpp).
+struct BoundaryHop {
+  i32 col = 0;
+  i16 dr = 0;
+  i16 dc = 0;
+  Packet payload;
+};
+
 class RouteArena {
  public:
-  /// Tombstone handle used by the mark-and-compact commit in route_greedy.
+  /// Tombstone handle used by the loop's mark-and-compact commit.
   static constexpr u32 kInvalidHandle = ~0u;
 
   /// Starts a new route call over `region`: clears the payload and setup
@@ -112,17 +126,11 @@ class RouteArena {
   i64 cap() const { return cap_; }
   TransitRec* queue(i64 pos) { return rec_.data() + slot(pos) * cap_; }
   i32& count(i64 pos) { return count_[static_cast<size_t>(slot(pos))]; }
-  TransitRec& lane_rec(i64 pos, int lane) {
-    return in_rec_[static_cast<size_t>(slot(pos) * kNumDirs + lane)];
-  }
-  unsigned char* lane_flags(i64 pos) {
-    return in_full_.data() + slot(pos) * kNumDirs;
-  }
 
   /// Slot-addressed variants for hot loops: under a curve order every
   /// position-addressed accessor above pays a pos→slot table load, so the
-  /// serial router translates each position once and addresses the per-node
-  /// arrays by slot from then on.
+  /// loop translates each position once and addresses the per-node arrays
+  /// by slot from then on. Lanes are addressed by slot only.
   i64 slot_of(i64 pos) const { return slot(pos); }
   TransitRec* queue_at(i64 s) { return rec_.data() + s * cap_; }
   i32& count_at(i64 s) { return count_[static_cast<size_t>(s)]; }
@@ -140,9 +148,9 @@ class RouteArena {
   std::vector<TransitRec> setup_rec;
   std::vector<i64> setup_pos;
 
-  /// Serial-path active lists (see route_greedy): nodes with a non-empty
-  /// transit queue, nodes that received a lane deposit this step, and their
-  /// membership bytes (indexed by snake position).
+  /// The loop's active lists (routing/greedy_band.hpp): nodes with a
+  /// non-empty transit queue, nodes that received a lane deposit this step,
+  /// and their membership bytes (indexed by snake position).
   std::vector<ActiveNode> frontier;
   std::vector<ActiveNode> frontier_next;
   std::vector<ActiveNode> arrivals;
@@ -189,11 +197,25 @@ class RouteArena {
   std::vector<unsigned char> in_full_;
 };
 
-/// Mutex-guarded free list of RouteArenas. Leases are per route call; the
-/// pool never shrinks (at most one arena per concurrently running route
-/// call, i.e. per pool thread).
+/// Mutex-guarded free list of RouteArenas. Leases are per band of a route
+/// call; the pool never shrinks (at most one arena per concurrently routed
+/// band, i.e. per pool thread or rank).
 class ArenaPool {
  public:
+  /// One band's arena for the duration of a route call.
+  class Lease {
+   public:
+    explicit Lease(ArenaPool& pool) : pool_(pool), arena_(pool.acquire()) {}
+    ~Lease() { pool_.release(arena_); }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    RouteArena& operator*() const { return *arena_; }
+
+   private:
+    ArenaPool& pool_;
+    RouteArena* arena_;
+  };
+
   RouteArena* acquire() {
     std::lock_guard<std::mutex> lock(mu_);
     if (free_.empty()) {

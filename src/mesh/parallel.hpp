@@ -21,10 +21,11 @@
 
 namespace meshpram {
 
-/// Sense-reversing spin barrier for the intra-region stripe teams (routing
-/// kernels split one region into row stripes and synchronize once per sweep).
-/// Spinning (with yield) rather than blocking: the sweeps between barriers
-/// are microseconds, and every team member owns a pool thread for the whole
+/// Sense-reversing spin barrier for the routing loop's stripe teams: one
+/// region split into row bands that meet twice per routing step, once to
+/// hand over the hops crossing band edges and once to sum the deliveries.
+/// Spinning (with yield) rather than blocking: the work between barriers is
+/// microseconds, and every team member owns a pool thread for the whole
 /// call, so there is nothing better for a waiter to do.
 ///
 /// MP_ASSERT/MP_REQUIRE stay armed in release builds, so any team member can
@@ -84,7 +85,7 @@ i64 parallel_max_regions(Mesh& mesh, const std::vector<Region>& regions,
                          const std::function<i64(const Region&)>& fn);
 
 /// Minimum region size (in nodes) before a routing/sorting kernel engages
-/// its intra-region worker team (route_greedy stripes, the meshsort
+/// its intra-region worker team (route_greedy's row bands, the meshsort
 /// odd-even rounds). Default 4096, overridable via the
 /// MESHPRAM_STRIPE_MIN_NODES environment variable; set_stripe_min_nodes(0)
 /// restores that default. Purely a performance knob — results never depend

@@ -34,20 +34,22 @@ struct RouteStats {
 /// one read-only pass over the buffers (destinations still checked) and
 /// records no span.
 ///
-/// Regions of at least stripe_min_nodes() nodes (mesh/parallel.hpp) are
-/// decomposed into row stripes executed by a worker team with a barrier per
-/// sweep; results, RouteStats, and the congestion counter grids are
-/// bit-identical to the serial path at any thread count (see DESIGN.md §9
-/// for the determinism argument). Smaller regions, and every call from a
-/// pool worker, run the serial active-list loop (greedy_serial.hpp), which
-/// costs O(nodes with queued packets) per step.
+/// Every route runs the active-list loop of greedy_band.hpp, which costs
+/// O(nodes with queued packets) per step. Regions of at least
+/// stripe_min_nodes() nodes (mesh/parallel.hpp), routed from outside the
+/// pool, are split into min(threads, rows) row bands, one pool thread each;
+/// the bands trade the hops that cross their edges in memory, twice
+/// synchronised per step. Results, RouteStats, and the congestion counter
+/// grids are bit-identical to a team of one at any thread count (see
+/// DESIGN.md §9 for the determinism argument).
 ///
 /// When the mesh carries a fault plan that affects routing (dead or stalled
 /// links, a positive drop rate), the call switches to the fault-aware hop
-/// rule (greedy_fault.cpp) on the same serial loop: stalled hops back off
-/// and retry, dead links are detoured, drops are retransmitted — no packet
-/// is ever lost. Plans that only kill memory modules stay on the fast path,
-/// so their step counts are bit-identical to the fault-free run.
+/// rule (greedy_fault.cpp) on the same loop, always as a team of one:
+/// stalled hops back off and retry, dead links are detoured, drops are
+/// retransmitted — no packet is ever lost. Plans that only kill memory
+/// modules stay on the XY rule, so their step counts are bit-identical to
+/// the fault-free run.
 RouteStats route_greedy(Mesh& mesh, const Region& region);
 
 /// Same, but under a routing-affecting fault plan the detours may cross all
@@ -64,20 +66,21 @@ RouteStats route_greedy(Mesh& mesh, const Region& region,
                         const Region& detour_scope);
 
 /// Test hook: extra per-node queue capacity laid out beyond the setup-time
-/// maximum depth (default 2). Raising it pre-grows the arena so the overflow
-/// grow path never triggers; the adversarial-burst tests compare the two
-/// configurations for bit-identical delivery. Not thread-safe; set it before
-/// spawning work.
+/// maximum depth (default 2). Raising it pre-grows the arenas so the
+/// in-place grow path never triggers; the adversarial-burst tests compare
+/// the two configurations for bit-identical delivery. Not thread-safe; set
+/// it before spawning work.
 void set_route_initial_headroom(i64 slots);
 i64 route_initial_headroom();
 
 namespace detail {
-/// Serial fault-aware greedy kernel. Called by route_greedy after arena
-/// setup over `scope` (the detour scope); `in_flight` is the number of
-/// in-transit records already scattered into `ar`'s queues and listed in
-/// ar.frontier. Fills steps/max_queue/fault_* of `stats` and adds the fault
-/// events to mesh.fault_tally(). Throws fault::FaultError if the plan leaves
-/// some packet unroutable (step cap exceeded).
+/// Fault-aware greedy kernel: the routing loop with the fault hop rule, as a
+/// team of one. Called by route_greedy after setup_band over `scope` (the
+/// detour scope); `in_flight` is the number of in-transit records already
+/// in `ar`'s queues and listed in ar.frontier. Fills steps/max_queue/fault_*
+/// of `stats` and adds the fault events to mesh.fault_tally(). Throws
+/// fault::FaultError if the plan leaves some packet unroutable (step cap
+/// exceeded).
 void route_greedy_fault(Mesh& mesh, const Region& scope, RouteArena& ar,
                         i64 in_flight, RouteStats& stats);
 }  // namespace detail

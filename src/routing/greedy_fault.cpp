@@ -2,12 +2,12 @@
 //
 // route_greedy dispatches here when the mesh's fault plan affects routing
 // (dead or stalled links, a positive drop rate). The rule runs on the same
-// serial active-list loop as the fault-free argmax (greedy_serial.hpp), so a
-// routing step visits only the nodes holding queued packets, and each
-// visited node computes its 4-bit wall mask and stall mask once per step
-// before choosing its senders. Set-up walks only the routing region, even
-// when detours may cross a wider scope (route_greedy's detour_scope): every
-// packet outside the region is already home.
+// active-list loop as the fault-free argmax (greedy_band.hpp), always as a
+// team of one, so a routing step visits only the nodes holding queued
+// packets, and each visited node computes its 4-bit wall mask and stall mask
+// once per step before choosing its senders. Set-up walks only the routing
+// region, even when detours may cross a wider scope (route_greedy's
+// detour_scope): every packet outside the region is already home.
 //
 // Determinism: every fault query is a pure function of (plan, node,
 // direction, PRAM step, routing step), per-packet state travels with the
@@ -56,7 +56,7 @@
 
 #include "mesh/arena.hpp"
 #include "routing/greedy.hpp"
-#include "routing/greedy_serial.hpp"
+#include "routing/greedy_band.hpp"
 #include "routing/xy.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/env.hpp"
@@ -91,7 +91,7 @@ struct HandleState {
   bool wall = false;      ///< currently wall-following
 };
 
-/// The fault hop rule for the shared serial loop (greedy_serial.hpp): stall
+/// The fault hop rule for the routing loop (greedy_band.hpp): stall
 /// backoff, Pledge wall-following and ARQ drops on top of farthest-first
 /// arbitration. Records carry relative (dr, dc) offsets; absolute
 /// destinations are rebuilt only for the FaultError text and the
@@ -172,8 +172,8 @@ class FaultRule {
     for (i32 i = 0; i < cnt; ++i) {
       HandleState& st = hs_[q[i].handle];
       if (st.blocked_until > step) continue;  // backing off
-      const int dr = q[i].dest_r;
-      const int dc = q[i].dest_c;
+      const int dr = q[i].dr;
+      const int dc = q[i].dc;
       MP_ASSERT(dr != 0 || dc != 0, "arrived packet still in transit");
       const Dir primary = xy_dir(dr, dc);  // the XY gradient
       const i64 rem = std::abs(dr) + std::abs(dc);
@@ -325,7 +325,7 @@ class FaultRule {
       const TransitRec* q = ar_.queue_at(ar_.slot_of(an.pos));
       remaining += cnt;
       for (i32 i = 0; i < cnt && listed < 8; ++i, ++listed) {
-        const i32 dest = nid_of({an.r + q[i].dest_r, an.c + q[i].dest_c});
+        const i32 dest = nid_of({an.r + q[i].dr, an.c + q[i].dc});
         detail += "; packet at " + std::to_string(nid_of({an.r, an.c})) +
                   " -> " + std::to_string(dest) +
                   (plan_.node_dead(dest) ? " (dest DEAD)" : "");
@@ -356,8 +356,9 @@ void route_greedy_fault(Mesh& mesh, const Region& scope, RouteArena& ar,
                         i64 in_flight, RouteStats& stats) {
   telemetry::Span span(telemetry::Cat::Fault, kRouteFault);
   FaultRule rule(mesh, scope, ar, in_flight);
-  route_serial(mesh, scope, ar, in_flight, telemetry::sampling_on(), rule,
-               stats);
+  NoExchange none;
+  route_band(mesh, scope, scope, ar, in_flight, telemetry::sampling_on(), rule,
+             none, stats);
   stats.fault_retried = rule.retried;
   stats.fault_dropped = rule.dropped;
   stats.fault_detoured = rule.detoured;

@@ -1,9 +1,8 @@
-// XY (dimension-order) routing decisions and lane conventions shared by the
-// greedy kernels: the serial loop and its two hop rules (greedy_serial.hpp,
-// greedy.cpp, greedy_fault.cpp), the stripe team (greedy.cpp) and the rank
-// bands (dist/route.cpp). They must agree on these exactly: the fault rule
-// falls back to plain XY wherever no fault is in the way, and the
-// fault-rate-0 parity tests compare the paths step for step.
+// XY (dimension-order) routing decisions and lane conventions of the greedy
+// routing loop (greedy_band.hpp) and its two hop rules (XyRule there,
+// FaultRule in greedy_fault.cpp). The fault rule falls back to plain XY
+// wherever no fault is in the way, and the fault-rate-0 parity tests compare
+// the paths step for step.
 #pragma once
 
 #include "mesh/geometry.hpp"
@@ -27,14 +26,15 @@ inline Dir xy_dir(int dr, int dc) {
 constexpr int kLaneOfMove[kNumDirs] = {/*North*/ 3, /*East*/ 1, /*South*/ 0,
                                        /*West*/ 2};
 
-/// Absorb order over lanes, reproducing the serial path's arrival order: the
-/// serial forward sweep visits source nodes in snake order, so a node's
-/// arrivals come from the row above first (lane 0 = moved South), then the
-/// same-row neighbors in the row's snake direction (on an east-going row the
-/// west neighbor precedes the east neighbor, i.e. lane 1 = moved East before
-/// lane 2 = moved West; reversed on west-going rows), then the row below
-/// (lane 3 = moved North). Each source forwards at most one packet per
-/// direction, so one slot per lane always suffices.
+/// Absorb order over lanes: the arrival order of one forward sweep over the
+/// routing region in snake order. Such a sweep visits a node's row-above
+/// neighbour first (lane 0 = moved South), then its same-row neighbours in
+/// the row's snake direction (on an east-going row the west neighbour
+/// precedes the east neighbour, i.e. lane 1 = moved East before lane 2 =
+/// moved West; reversed on west-going rows), then the row below (lane 3 =
+/// moved North). The row's direction is its parity within the routing
+/// region, whatever band holds the row. Each source forwards at most one
+/// packet per direction, so one slot per lane always suffices.
 constexpr int kLaneOrderEast[kNumDirs] = {0, 1, 2, 3};
 constexpr int kLaneOrderWest[kNumDirs] = {0, 2, 1, 3};
 

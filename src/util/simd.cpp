@@ -37,28 +37,6 @@ bool cpu_and_env_allow() {
 // ---------------------------------------------------------------------------
 // Scalar definitions (the semantic reference).
 
-void transit_scan_scalar(const void* recs, i64 n, i16 at_r, i16 at_c,
-                         unsigned char* dirs, u16* rems) {
-  const unsigned char* p = static_cast<const unsigned char*>(recs);
-  for (i64 i = 0; i < n; ++i, p += 8) {
-    i16 dest_r, dest_c;
-    std::memcpy(&dest_r, p + 4, sizeof(dest_r));
-    std::memcpy(&dest_c, p + 6, sizeof(dest_c));
-    const int dr = dest_r - at_r;
-    const int dc = dest_c - at_c;
-    unsigned char d = 0;  // North (dr < 0) and "arrived" both encode as 0.
-    if (dc > 0) {
-      d = 1;  // East
-    } else if (dc < 0) {
-      d = 3;  // West
-    } else if (dr > 0) {
-      d = 2;  // South
-    }
-    dirs[i] = d;
-    rems[i] = static_cast<u16>((dr < 0 ? -dr : dr) + (dc < 0 ? -dc : dc));
-  }
-}
-
 i64 first_key_violation_scalar(const void* recs, i64 rec_bytes, i64 n) {
   const unsigned char* p = static_cast<const unsigned char*>(recs);
   for (i64 i = 0; i + 1 < n; ++i) {
@@ -79,55 +57,6 @@ void and_bytes_scalar(unsigned char* dst, const unsigned char* a,
 // AVX2 variants. Compiled with a function-level target so the translation
 // unit (and everything else) keeps the baseline ISA.
 #if MESHPRAM_HAVE_AVX2_BUILD
-
-__attribute__((target("avx2"))) void transit_scan_avx2(
-    const void* recs, i64 n, i16 at_r, i16 at_c, unsigned char* dirs,
-    u16* rems) {
-  // Four 8-byte records per 256-bit vector; each record is four i16 lanes
-  // [handle_lo, handle_hi, dest_r, dest_c].
-  const __m256i base = _mm256_set_epi16(at_c, at_r, 0, 0, at_c, at_r, 0, 0,
-                                        at_c, at_r, 0, 0, at_c, at_r, 0, 0);
-  // madd selector: 1 at the dr/dc lanes, 0 at the handle lanes, so the
-  // per-pair products sum to [0, |dr|+|dc|] per record.
-  const __m256i sel = _mm256_set_epi16(1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1,
-                                       1, 0, 0);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi16(1);
-  const __m256i two = _mm256_set1_epi16(2);
-  const __m256i three = _mm256_set1_epi16(3);
-  const unsigned char* p = static_cast<const unsigned char*>(recs);
-  i64 i = 0;
-  alignas(32) i16 dir16[16];
-  alignas(32) i32 rem32[8];
-  for (; i + 4 <= n; i += 4, p += 32) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    const __m256i d = _mm256_sub_epi16(v, base);  // dr at lane 2, dc at 3
-    const __m256i rem =
-        _mm256_madd_epi16(_mm256_abs_epi16(d), sel);  // [.., rem] epi32 pairs
-    _mm256_store_si256(reinterpret_cast<__m256i*>(rem32), rem);
-    // Align dc onto the dr lane (per-128 byte shift), then decide the
-    // direction branchlessly at lane 4j+2 of each record.
-    const __m256i dc = _mm256_srli_si256(d, 2);
-    const __m256i east = _mm256_cmpgt_epi16(dc, zero);
-    const __m256i west = _mm256_cmpgt_epi16(zero, dc);
-    const __m256i south = _mm256_andnot_si256(
-        _mm256_or_si256(east, west), _mm256_cmpgt_epi16(d, zero));
-    const __m256i dir = _mm256_or_si256(
-        _mm256_or_si256(_mm256_and_si256(east, one),
-                        _mm256_and_si256(west, three)),
-        _mm256_and_si256(south, two));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(dir16), dir);
-    dirs[i + 0] = static_cast<unsigned char>(dir16[2]);
-    dirs[i + 1] = static_cast<unsigned char>(dir16[6]);
-    dirs[i + 2] = static_cast<unsigned char>(dir16[10]);
-    dirs[i + 3] = static_cast<unsigned char>(dir16[14]);
-    rems[i + 0] = static_cast<u16>(rem32[1]);
-    rems[i + 1] = static_cast<u16>(rem32[3]);
-    rems[i + 2] = static_cast<u16>(rem32[5]);
-    rems[i + 3] = static_cast<u16>(rem32[7]);
-  }
-  if (i < n) transit_scan_scalar(p, n - i, at_r, at_c, dirs + i, rems + i);
-}
 
 __attribute__((target("avx2"))) i64 first_key_violation_avx2(
     const void* recs, i64 rec_bytes, i64 n) {
@@ -211,19 +140,6 @@ void set_enabled(bool on) {
 }
 
 const char* kernel_name() { return available() ? "avx2" : "scalar"; }
-
-void transit_scan(const void* recs, i64 n, i16 at_r, i16 at_c,
-                  unsigned char* dirs, u16* rems) {
-#if MESHPRAM_HAVE_AVX2_BUILD
-  // The vector body pays a fixed six-constant setup; routing queues are
-  // mostly 1-4 deep, where that setup costs more than the whole scalar scan.
-  if (n >= 8 && dispatch() == 1) {
-    transit_scan_avx2(recs, n, at_r, at_c, dirs, rems);
-    return;
-  }
-#endif
-  transit_scan_scalar(recs, n, at_r, at_c, dirs, rems);
-}
 
 i64 first_key_violation(const void* recs, i64 rec_bytes, i64 n) {
 #if MESHPRAM_HAVE_AVX2_BUILD

@@ -25,15 +25,6 @@ void set_enabled(bool on);
 /// Human-readable dispatch state ("avx2" or "scalar") for bench metadata.
 const char* kernel_name();
 
-/// Routing-queue scan over n 8-byte transit records laid out as
-/// {u32 handle; i16 dest_r; i16 dest_c} (static_asserted at the call site):
-/// for each record, the XY-routing direction from (at_r, at_c) — the Dir
-/// values 0=N 1=E 2=S 3=W, column resolved first — into dirs[i], and the
-/// remaining Manhattan distance into rems[i]. A record already at the
-/// destination gets rem 0 (the caller asserts that never happens).
-void transit_scan(const void* recs, i64 n, i16 at_r, i16 at_c,
-                  unsigned char* dirs, u16* rems);
-
 /// First index i in [0, n-1) where key[i] >= key[i+1], reading the leading
 /// u64 of each `rec_bytes`-sized record; n-1 when the key sequence is
 /// strictly increasing (then the records are sorted under any key-first

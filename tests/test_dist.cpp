@@ -499,8 +499,8 @@ TEST(DistWireFuzz, BoundaryTruncationAtEveryOffsetThrows) {
   for (int i = 0; i < 3; ++i) {
     BoundaryHop h;
     h.col = i;
-    h.dest_r = static_cast<i16>(-i);
-    h.dest_c = static_cast<i16>(i * 2);
+    h.dr = static_cast<i16>(-i);
+    h.dc = static_cast<i16>(i * 2);
     h.payload = fuzz_packet(static_cast<u64>(i + 1), i);
     hops.push_back(h);
   }
@@ -544,8 +544,8 @@ TEST(DistWireFuzz, ChecksummedFrameRejectsEverySingleByteFlip) {
   std::vector<BoundaryHop> hops;
   BoundaryHop h;
   h.col = 3;
-  h.dest_r = 1;
-  h.dest_c = 2;
+  h.dr = 1;
+  h.dc = 2;
   h.payload = fuzz_packet(42, 3);
   hops.push_back(h);
   const std::string frame = encode_boundary(hops, true);

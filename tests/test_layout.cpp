@@ -5,7 +5,6 @@
 // thread count. This suite is the enforcement (`ctest -L layout`).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -269,34 +268,6 @@ class SimdKernels : public ::testing::Test {
   }
   void TearDown() override { simd::set_enabled(true); }
 };
-
-TEST_F(SimdKernels, TransitScanMatchesScalar) {
-  Rng rng(7);
-  for (const i64 n : {0, 1, 3, 4, 5, 8, 33, 1000}) {
-    std::vector<unsigned char> recs(static_cast<size_t>(n) * 8);
-    for (i64 i = 0; i < n; ++i) {
-      const u32 handle = static_cast<u32>(rng.range(0, 1 << 30));
-      const i16 dest_r = static_cast<i16>(rng.range(0, 127));
-      const i16 dest_c = static_cast<i16>(rng.range(0, 127));
-      unsigned char* p = recs.data() + i * 8;
-      std::memcpy(p, &handle, 4);
-      std::memcpy(p + 4, &dest_r, 2);
-      std::memcpy(p + 6, &dest_c, 2);
-    }
-    const i16 at_r = static_cast<i16>(rng.range(0, 127));
-    const i16 at_c = static_cast<i16>(rng.range(0, 127));
-    std::vector<unsigned char> dir_s(static_cast<size_t>(n) + 1);
-    std::vector<unsigned char> dir_v(static_cast<size_t>(n) + 1);
-    std::vector<u16> rem_s(static_cast<size_t>(n) + 1);
-    std::vector<u16> rem_v(static_cast<size_t>(n) + 1);
-    simd::set_enabled(false);
-    simd::transit_scan(recs.data(), n, at_r, at_c, dir_s.data(), rem_s.data());
-    simd::set_enabled(true);
-    simd::transit_scan(recs.data(), n, at_r, at_c, dir_v.data(), rem_v.data());
-    EXPECT_EQ(dir_s, dir_v) << "n=" << n;
-    EXPECT_EQ(rem_s, rem_v) << "n=" << n;
-  }
-}
 
 TEST_F(SimdKernels, FirstKeyViolationMatchesScalar) {
   Rng rng(11);
