@@ -136,13 +136,20 @@ class SocketHub {
   };
   struct Delayed {
     std::chrono::steady_clock::time_point release;
+    int from = 0;
     int to = 0;
-    std::string bytes;
+    std::string bytes;  ///< packed frame, or the bare body when `to` is 0
   };
 
   void pump();
   void handle_frame(int rank, const std::string& payload);
   void route_data(const TaggedFrame& f);
+  /// Hands the index-th from->to Data frame on, or holds it while its delay
+  /// rule or an earlier held frame of the same link says so: latency never
+  /// reorders a link.
+  void forward_locked(int from, int to, i64 index, std::string bytes);
+  /// Rank 0's inbox for frames to rank 0, the peer's outbox otherwise.
+  void deliver_locked(int from, int to, std::string bytes);
   void mark_down_locked(int rank, const std::string& reason);
   void fail_locked(const std::string& diagnosis);
   void queue_to_locked(int rank, std::string bytes);
@@ -165,6 +172,9 @@ class SocketHub {
   std::vector<std::deque<std::string>> inbox_ctrl_;
   std::vector<Delayed> delayed_;
   std::vector<i64> pair_count_;  ///< routed Data frames per (from, to)
+  /// Data frames to rank 0 per source: indexes delay rules only, since drop
+  /// and partition rules never touch rank 0's inbound frames.
+  std::vector<i64> to_hub_count_;
   u32 epoch_ = 0;
   bool recovering_ = false;
   std::string failure_;  ///< first pending failure diagnosis ("" = healthy)

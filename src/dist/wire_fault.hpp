@@ -12,7 +12,8 @@
 // something a real network or a killed process can also do.
 //
 //   drop        the index-th from->to Data frame vanishes
-//   delay       the index-th from->to Data frame is held for `ms`
+//   delay       the index-th from->to Data frame is held for `ms`; later
+//               frames of the link queue behind it (per-link FIFO)
 //   partition   all Data frames between a pair vanish once the pair's
 //               combined frame count reaches `after`
 //   kill        the worker's connection is severed after it delivered
@@ -20,6 +21,9 @@
 //               supervisor API; this models a cut cable)
 //   seeded      `count` drops scattered over [0, horizon) per directed pair
 //               by a seeded xoshiro stream (reproducible chaos)
+//
+// Frames bound for rank 0 (the coordinator) are never dropped or
+// partitioned; delay rules index them by their own per-source count.
 #pragma once
 
 #include <optional>

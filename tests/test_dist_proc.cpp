@@ -495,6 +495,37 @@ TEST(ProcMachineTest, WireFaultDelayIsHarmless) {
   EXPECT_EQ(machine.recovery().failures, 0);
 }
 
+TEST(ProcMachineTest, WireFaultDelayKeepsLinkOrder) {
+  // A held frame holds back every later frame of its link, in both
+  // directions: one delayed frame anywhere in a step's stream must neither
+  // reorder the stream nor trip a recovery.
+  const int side = pick_side(2);
+  ASSERT_GT(side, 0);
+  const SimConfig cfg = mid_mem_config(side);
+  const i64 n = static_cast<i64>(side) * side;
+
+  Rng rng_w(41);
+  const auto writes = random_requests(n, cfg.num_vars, rng_w, Op::Write);
+  Rng rng_r(41);
+  const auto reads = random_requests(n, cfg.num_vars, rng_r, Op::Read);
+  PramMeshSimulator oracle(cfg);
+  const std::vector<i64> want_w = oracle.step(writes);
+  const std::vector<i64> want_r = oracle.step(reads);
+
+  for (const auto& [from, to] : {std::pair{0, 1}, std::pair{1, 0}}) {
+    for (i64 index = 0; index < 12; ++index) {
+      SCOPED_TRACE("delay " + std::to_string(from) + "->" +
+                   std::to_string(to) + " frame " + std::to_string(index));
+      ProcConfig pc = proc_config(cfg, 2);
+      pc.socket.fault.delay_frame(from, to, index, 30);
+      ProcMachine machine(pc);
+      EXPECT_EQ(machine.step(writes), want_w);
+      EXPECT_EQ(machine.step(reads), want_r);
+      EXPECT_EQ(machine.recovery().failures, 0);
+    }
+  }
+}
+
 TEST(ProcMachineTest, WorkerKillFaultRecovers) {
   const int side = pick_side(2);
   ASSERT_GT(side, 0);
