@@ -4,8 +4,10 @@
 // plan), the StepStats step fields, the congestion counter grids with
 // sampling on, and the serve::snapshot_simulator bytes afterwards. Every
 // digest must repeat at threads 1 and 4 (stripe teams forced on), under
-// both node orders, and for the fault-free and module-only cases on a
-// dist::DistMachine at ranks 1, 2 and min(4, max_ranks). The rewrites of the
+// both node orders, and on a dist::DistMachine at ranks 1, 2 and
+// min(4, max_ranks), the last in validate mode. Fault-free and module-only
+// cases run the partitioned rank mode there, link+stall cases its
+// replicated fallback. The rewrites of the
 // sort, the packet storage and the routing kernels keep these digests
 // unchanged; a mismatch prints the digest the current code produces.
 #include <gtest/gtest.h>
@@ -222,11 +224,11 @@ RunDigest run_single(const GoldenCase& c) {
   return out;
 }
 
-RunDigest run_dist(const GoldenCase& c, int ranks) {
+RunDigest run_dist(const GoldenCase& c, int ranks, int validate) {
   dist::DistConfig dc;
   dc.sim = golden_config(c);
   dc.ranks = ranks;
-  dc.validate = 0;
+  dc.validate = validate;
   dist::DistMachine machine(dc);
   RunDigest out = run_stream(c, machine);
   Digest d{out.run};
@@ -333,9 +335,8 @@ TEST_F(GoldenCorpus, CasesCoverTheCorpusAxes) {
         hits += f.packets_detoured + f.packets_retried;
       }
       EXPECT_GT(hits, 0) << c.name;
-    } else {
-      EXPECT_GE(dist::DistMachine::max_ranks(golden_config(c)), 2) << c.name;
     }
+    EXPECT_GE(dist::DistMachine::max_ranks(golden_config(c)), 3) << c.name;
   }
   EXPECT_GT(packed, 0) << "no case packs pages (t_i < 1)";
   EXPECT_LT(packed, static_cast<int>(std::size(kCases)))
@@ -360,15 +361,17 @@ TEST_F(GoldenCorpus, SingleProcessAcrossThreadsAndNodeOrders) {
 
 TEST_F(GoldenCorpus, DistMachineAtOneTwoAndUpToFourRanks) {
   // Two ranks give each band one neighbour; three or more give a middle band
-  // two, so both of its edges exchange boundary hops in the same step.
+  // two, so both of its edges exchange boundary hops in the same step. The
+  // top rank count runs validate mode's cross-rank checks as well.
   for (const GoldenCase& c : kCases) {
-    if (c.plan == PlanKind::LinkStall) continue;
     const int most =
         std::min(4, dist::DistMachine::max_ranks(golden_config(c)));
     ASSERT_GE(most, 3) << c.name;
     for (const int ranks : {1, 2, most}) {
-      expect_digest(c, run_dist(c, ranks),
-                    "ranks=" + std::to_string(ranks));
+      const int validate = ranks == most ? 1 : 0;
+      expect_digest(c, run_dist(c, ranks, validate),
+                    "ranks=" + std::to_string(ranks) +
+                        " validate=" + std::to_string(validate));
     }
   }
 }
