@@ -60,31 +60,6 @@ Packet get_packet(ByteReader& r) {
   return p;
 }
 
-std::string encode_band_buffers(Mesh& mesh, const RankBand& band) {
-  std::string out;
-  ByteWriter w(out);
-  for (i64 node = band.node_begin; node < band.node_end; ++node) {
-    const auto& b = mesh.buf(static_cast<i32>(node));
-    w.put_u32(static_cast<u32>(b.size()));
-    for (const Packet& p : b) put_packet(w, p);
-  }
-  return out;
-}
-
-void decode_band_buffers(Mesh& mesh, const RankBand& band,
-                         std::string_view frame) {
-  ByteReader r(frame, "band buffers");
-  for (i64 node = band.node_begin; node < band.node_end; ++node) {
-    auto& b = mesh.buf(static_cast<i32>(node));
-    b.clear();
-    const u32 count = r.get_u32();
-    check_count(r, count, kMinPacketBytes, "band buffers");
-    b.reserve(count);
-    for (u32 i = 0; i < count; ++i) b.push_back(get_packet(r));
-  }
-  r.expect_done();
-}
-
 std::string encode_band_fills(Mesh& mesh, const RankBand& band) {
   std::string out;
   ByteWriter w(out);

@@ -1,11 +1,8 @@
 // Binary codecs for the frames the distributed machine exchanges.
 //
-// Four frame bodies, all little-endian via util/bytes.hpp:
+// Three frame bodies, all little-endian via util/bytes.hpp:
 //   packet       every Packet field in declaration order — the unit of the
-//                other three codecs;
-//   band buffers the full node-buffer contents of one rank band (stage-k+1
-//                replication): per node ascending by id, u32 count + packets
-//                in buffer order;
+//                boundary codec, and of validate mode's buffer digest;
 //   fills        apply-phase read results of one band's nodes (replicated
 //                fallback): per node ascending, u32 count + (value,
 //                timestamp) pairs in buffer order;
@@ -29,14 +26,6 @@ namespace meshpram::dist {
 
 void put_packet(ByteWriter& w, const Packet& p);
 Packet get_packet(ByteReader& r);
-
-/// Encodes the node buffers of `band` of `mesh` (ascending node id, buffer
-/// order preserved).
-std::string encode_band_buffers(Mesh& mesh, const RankBand& band);
-
-/// Overwrites the node buffers of `band` of `mesh` with the encoded frame.
-void decode_band_buffers(Mesh& mesh, const RankBand& band,
-                         std::string_view frame);
 
 /// Encodes per-node (value, timestamp) of every buffered packet in `band`.
 std::string encode_band_fills(Mesh& mesh, const RankBand& band);

@@ -16,6 +16,13 @@
 // already sits at its destination. The conservation assertion in the
 // collect phase checks, at the end of each step, that no packet was lost
 // or stranded.
+//
+// Rank scope. The caller's RankScope (access.hpp) carries every difference
+// between the single process and a rank of the distributed machine: the
+// inner-stage loops route only the regions the scope routes and pass their
+// charge through stage_charge, the two whole-mesh routes go through
+// route_whole, and only owned nodes serve accesses and collect results. The
+// body never asks which caller it serves.
 
 #include "protocol/access.hpp"
 
@@ -54,6 +61,19 @@ const telemetry::Label kApplyAccess = telemetry::intern("access.apply");
 const telemetry::Label kReturnStage = telemetry::intern("access.return");
 const telemetry::Label kCollect = telemetry::intern("access.collect");
 
+/// The single process's scope: one rank that is the whole machine.
+class WholeMesh final : public RankScope {
+ public:
+  bool routes_region(const Region&) const override { return true; }
+  bool owns_node(i32) const override { return true; }
+  i64 stage_charge(i64 local) override { return local; }
+  i64 route_whole(Mesh& mesh) override {
+    return route_greedy(mesh, mesh.whole()).steps;
+  }
+  void exchange_fills(Mesh&) override {}
+  void gather_results(std::vector<i64>&) override {}
+};
+
 }  // namespace
 
 AccessProtocol::AccessProtocol(Mesh& mesh, const Placement& placement,
@@ -75,7 +95,8 @@ AccessProtocol::AccessProtocol(Mesh& mesh, const Placement& placement,
   }
 }
 
-i64 AccessProtocol::distribute_stage(const Region& region, int dest_level) {
+i64 AccessProtocol::distribute_stage(const Region& region, int dest_level,
+                                     RankScope& scope) {
   telemetry::Span span(telemetry::Cat::Phase, kDistribute, dest_level);
   // Key every packet by its destination page at dest_level, read from this
   // step's copy table. Chunk-parallel when called for the whole mesh (stage
@@ -123,7 +144,9 @@ i64 AccessProtocol::distribute_stage(const Region& region, int dest_level) {
           }
         }
       });
-  steps += route_greedy(mesh_, region, mesh_.whole()).steps;
+  steps += dest_level == placement_.map().params().k()
+               ? scope.route_whole(mesh_)
+               : route_greedy(mesh_, region, mesh_.whole()).steps;
 
   // Record the stop for the return journey.
   for_each_region_chunk(
@@ -163,7 +186,9 @@ void AccessProtocol::build_alive_slots(const fault::FaultPlan* plan) {
 
 std::vector<i64> AccessProtocol::execute(
     const std::vector<AccessRequest>& requests, i64 timestamp,
-    StepStats* stats, const i32* write_group) {
+    StepStats* stats, const i32* write_group, RankScope* rank_scope) {
+  WholeMesh whole_mesh;
+  RankScope& scope = rank_scope != nullptr ? *rank_scope : whole_mesh;
   const HmosParams& params = placement_.map().params();
   const int k = params.k();
   const i64 n = mesh_.size();
@@ -275,23 +300,32 @@ std::vector<i64> AccessProtocol::execute(
   // the max over them. Under routing faults the submeshes cannot run
   // concurrently (detours may cross their boundaries, see the file comment),
   // so each stage loop runs serially and is charged the sum of its submesh
-  // costs instead.
+  // costs instead. Either way a stage covers only the regions the scope
+  // routes, and the scope combines the charge across ranks.
   const bool routing_faults = plan != nullptr && plan->affects_routing();
+  std::vector<Region> routed;
   auto stage_cost = [&](const std::vector<Region>& regions,
                         const std::function<i64(const Region&)>& fn) -> i64 {
-    if (!routing_faults) return parallel_max_regions(mesh_, regions, fn);
-    i64 sum = 0;
-    for (const Region& g : regions) sum += fn(g);
-    return sum;
+    routed.clear();
+    for (const Region& g : regions) {
+      if (scope.routes_region(g)) routed.push_back(g);
+    }
+    i64 cost = 0;
+    if (!routing_faults) {
+      cost = parallel_max_regions(mesh_, routed, fn);
+    } else {
+      for (const Region& g : routed) cost += fn(g);
+    }
+    return scope.stage_charge(cost);
   };
   for (int stage = k + 1; stage >= 2; --stage) {
     telemetry::Span stage_span(telemetry::Cat::Stage, kForwardStage, stage);
     const i64 cost =
         stage == k + 1
-            ? distribute_stage(mesh_.whole(), k)
+            ? distribute_stage(mesh_.whole(), k, scope)
             : stage_cost(level_regions_[static_cast<size_t>(stage)],
                          [&](const Region& g) {
-                           return distribute_stage(g, stage - 1);
+                           return distribute_stage(g, stage - 1, scope);
                          });
     st.forward_stage_steps.push_back(cost);
     st.forward_steps += cost;
@@ -317,7 +351,7 @@ std::vector<i64> AccessProtocol::execute(
     telemetry::Span apply_span(telemetry::Cat::Phase, kApplyAccess);
     const bool count_touches = telemetry::sampling_on();
     mesh_.for_each_node(kNodeGrain, [&](i32 node) {
-      if (apply_shard_ != nullptr && !apply_shard_->owns_node(node)) return;
+      if (!scope.owns_node(node)) return;
       auto& store = mesh_.store(node);
       auto& b = mesh_.buf(node);
       if (count_touches && !b.empty()) {
@@ -338,7 +372,7 @@ std::vector<i64> AccessProtocol::execute(
         }
       }
     });
-    if (apply_shard_ != nullptr) apply_shard_->exchange_fills(mesh_);
+    scope.exchange_fills(mesh_);
   }
 
   // ---- Return journey ------------------------------------------------------
@@ -369,7 +403,7 @@ std::vector<i64> AccessProtocol::execute(
     mesh_.for_each_node(kNodeGrain, [&](i32 node) {
       for (Packet& p : mesh_.buf(node)) p.dest = p.origin;
     });
-    const i64 steps = route_greedy(mesh_, mesh_.whole()).steps;
+    const i64 steps = scope.route_whole(mesh_);
     st.return_steps += steps;
     stage_span.set_steps(steps);
   }
@@ -379,6 +413,10 @@ std::vector<i64> AccessProtocol::execute(
   std::vector<i64> results(static_cast<size_t>(n), 0);
   mesh_.for_each_node(kNodeGrain, [&](i32 node) {
     auto& b = mesh_.buf(node);
+    if (!scope.owns_node(node)) {
+      b.clear();  // the owning rank checks and collects this node
+      return;
+    }
     const AccessRequest& req = requests[static_cast<size_t>(node)];
     i64 best_ts = -2;
     i64 best_val = 0;
@@ -412,6 +450,7 @@ std::vector<i64> AccessProtocol::execute(
     }
     b.clear();
   });
+  scope.gather_results(results);
 
   if (plan != nullptr) {
     mesh_.fault_tally().drain_into(st.fault);

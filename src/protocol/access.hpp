@@ -20,6 +20,12 @@
 // come from CULLING's per-step copy table (culling.hpp): a packet's entry
 // is the row of its origin at its copy's code, so no stage recomputes the
 // memory map per packet.
+//
+// execute() is the only code that sequences these stages. A rank of the
+// distributed machine (src/dist) runs it on its own replica and passes a
+// RankScope that says which share of the step is its own; the single
+// process runs it with the trivial scope (every region, every node, nothing
+// to exchange).
 #pragma once
 
 #include <vector>
@@ -31,21 +37,30 @@
 
 namespace meshpram {
 
-namespace dist {
-class DistProtocol;
-}
-
-/// Apply-phase sharding hook for the distributed machine (src/dist). In the
-/// replicated-fallback mode every rank runs the full protocol on its own
-/// mesh replica, but the copy stores stay partitioned: the hook restricts
-/// the apply phase to the nodes the rank owns, then exchanges the read
-/// fills (value/timestamp written into the buffered packets) so every
-/// replica carries identical packets into the return journey.
-class ApplyShard {
+/// A rank's share of one access step. Every rank holds the replicated
+/// requests and runs CULLING, so every rank generates every packet and sorts
+/// the whole mesh at stage k+1; the hooks say what else is the rank's own
+/// and how its share combines with the other ranks'. Hooks run per stage,
+/// per region or per node, never per packet.
+class RankScope {
  public:
-  virtual ~ApplyShard() = default;
+  virtual ~RankScope() = default;
+  /// Does this rank route page region `g` in the inner stages (k..1 and
+  /// the return retrace)?
+  virtual bool routes_region(const Region& g) const = 0;
+  /// Does this rank hold `node`'s copy store and collect its result?
   virtual bool owns_node(i32 node) const = 0;
+  /// Combines this rank's charge for an inner stage (the max, or under
+  /// routing faults the sum, over its routed regions) into the stage's.
+  virtual i64 stage_charge(i64 local) = 0;
+  /// Routes every packet of the mesh to its Packet::dest (stage k+1 and the
+  /// final return); returns the routing steps.
+  virtual i64 route_whole(Mesh& mesh) = 0;
+  /// After the owned nodes served their accesses: brings the read fills of
+  /// every other node's packets into this rank's copies of them.
   virtual void exchange_fills(Mesh& mesh) = 0;
+  /// After the owned nodes collected their results: fills in the rest.
+  virtual void gather_results(std::vector<i64>& results) = 0;
 };
 
 struct AccessRequest {
@@ -96,23 +111,21 @@ class AccessProtocol {
   /// stores bit-identical to sequential execution (the serving layer's
   /// cross-request coalescing, DESIGN.md §14). Only supported fault-free:
   /// fault behavior is keyed to a single step time.
+  ///
+  /// `scope` (null = this process is the whole machine) is the caller's rank
+  /// share; the results are complete on every rank.
   std::vector<i64> execute(const std::vector<AccessRequest>& requests,
                            i64 timestamp, StepStats* stats = nullptr,
-                           const i32* write_group = nullptr);
-
-  /// Installs (or clears, with nullptr) the apply-phase shard hook. Owned by
-  /// the caller; must outlive every execute() made while installed.
-  void set_apply_shard(ApplyShard* shard) { apply_shard_ = shard; }
+                           const i32* write_group = nullptr,
+                           RankScope* scope = nullptr);
 
  private:
-  /// The distributed protocol reuses distribute_stage for the forward stages
-  /// that stay inside one rank band.
-  friend class dist::DistProtocol;
-
   /// Sort-by-subregion, rank, distribute: one forward stage inside `region`.
-  /// `dest_level` = the level of the pages packets are heading into
-  /// (0 = final processor delivery).
-  i64 distribute_stage(const Region& region, int dest_level);
+  /// `dest_level` = the level of the pages packets are heading into; level
+  /// k is stage k+1, whose region is the whole mesh and whose route is
+  /// `scope`'s.
+  i64 distribute_stage(const Region& region, int dest_level,
+                       RankScope& scope);
 
   /// Rebuilds alive_slots_ for the installed plan (per-level, per-page alive
   /// node ids in snake order). A fully dead page region gets an empty list —
@@ -133,7 +146,6 @@ class AccessProtocol {
   /// the fault-free path.
   std::vector<std::vector<std::vector<i32>>> alive_slots_;
   const fault::FaultPlan* alive_plan_ = nullptr;
-  ApplyShard* apply_shard_ = nullptr;
 };
 
 }  // namespace meshpram

@@ -531,13 +531,6 @@ TEST(DistWireFuzz, ImplausibleCountsRejectedBeforeAllocation) {
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("implausible"), std::string::npos);
   }
-
-  Mesh mesh(4, 4);
-  const RankBand band{0, 2, 0, 8};
-  std::string buffers;
-  ByteWriter wb(buffers);
-  wb.put_u32(0x7fffffffu);
-  EXPECT_THROW(decode_band_buffers(mesh, band, buffers), ConfigError);
 }
 
 TEST(DistWireFuzz, ChecksummedFrameRejectsEverySingleByteFlip) {
@@ -558,7 +551,7 @@ TEST(DistWireFuzz, ChecksummedFrameRejectsEverySingleByteFlip) {
   }
 }
 
-TEST(DistWireFuzz, BandBuffersRoundTripAndMidFrameEofThrows) {
+TEST(DistWireFuzz, FillsOntoDivergentBufferShapeThrow) {
   Mesh src(4, 4);
   const RankBand band{0, 2, 0, 8};
   Rng rng(77);
@@ -569,27 +562,6 @@ TEST(DistWireFuzz, BandBuffersRoundTripAndMidFrameEofThrows) {
       b.push_back(fuzz_packet(rng.below(1000), static_cast<int>(node + i)));
     }
   }
-  const std::string frame = encode_band_buffers(src, band);
-
-  Mesh dst(4, 4);
-  decode_band_buffers(dst, band, frame);
-  EXPECT_EQ(encode_band_buffers(dst, band), frame);
-  for (i64 node = band.node_begin; node < band.node_end; ++node) {
-    EXPECT_EQ(dst.buf(static_cast<i32>(node)).size(),
-              src.buf(static_cast<i32>(node)).size());
-  }
-
-  // Mid-frame EOF at every offset, including offsets inside a trail array.
-  for (size_t cut = 0; cut < frame.size(); ++cut) {
-    Mesh scratch(4, 4);
-    EXPECT_THROW(decode_band_buffers(scratch, band, frame.substr(0, cut)),
-                 ConfigError)
-        << "cut=" << cut;
-  }
-  // Trailing garbage is rejected by expect_done, not silently ignored.
-  Mesh scratch(4, 4);
-  EXPECT_THROW(decode_band_buffers(scratch, band, frame + "x"), ConfigError);
-
   // Fills onto a divergent buffer shape is an internal invariant breach.
   const std::string fills = encode_band_fills(src, band);
   Mesh empty(4, 4);
@@ -627,7 +599,7 @@ TEST(DistWireFuzz, SeededRandomBytesNeverCrashDecoders) {
     Mesh scratch(4, 4);
     const RankBand band{0, 2, 0, 8};
     try {
-      decode_band_buffers(scratch, band, noise);
+      decode_band_fills(scratch, band, noise);
     } catch (const ConfigError&) {
       ++threw;
     } catch (const InternalError&) {
