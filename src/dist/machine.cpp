@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace meshpram::dist {
@@ -13,16 +12,6 @@ namespace meshpram::dist {
 namespace {
 
 const telemetry::Label kPramStep = telemetry::intern("pram.step");
-
-int resolve_ranks(int ranks) {
-  if (ranks > 0) return ranks;
-  return static_cast<int>(env_i64("MESHPRAM_RANKS", 1, 4096).value_or(1));
-}
-
-bool resolve_validate(int validate) {
-  if (validate >= 0) return validate != 0;
-  return env_i64("MESHPRAM_DIST_VALIDATE", 0, 1).value_or(0) != 0;
-}
 
 }  // namespace
 
@@ -72,8 +61,7 @@ void DistMachine::rebuild_transport() {
 }
 
 int DistMachine::max_ranks(const SimConfig& config) {
-  PramMeshSimulator probe(config);
-  return RankPartition::max_ranks(probe.placement(), config.mesh_rows);
+  return probe_max_ranks(config);
 }
 
 std::unique_ptr<DistMachine> DistMachine::from_simulator(
@@ -102,11 +90,8 @@ std::unique_ptr<DistMachine> DistMachine::from_simulator(
 std::vector<i64> DistMachine::step(const std::vector<AccessRequest>& requests,
                                    StepStats* stats, bool feed_clock) {
   telemetry::begin_frame();  // sampling granularity = one PRAM step
-  std::vector<AccessRequest> padded = requests;
-  MP_REQUIRE(static_cast<i64>(padded.size()) <= processors(),
-             "more requests (" << padded.size() << ") than processors ("
-                               << processors() << ')');
-  padded.resize(static_cast<size_t>(processors()));
+  const std::vector<AccessRequest> padded =
+      pad_requests(requests, processors());
 
   const int R = ranks();
   std::vector<std::vector<i64>> results(static_cast<size_t>(R));
@@ -167,29 +152,13 @@ std::vector<i64> DistMachine::step(const std::vector<AccessRequest>& requests,
   if (stats != nullptr && feed_clock) {
     clock_.add("pram_step", stats->total_steps);
   }
-  if (effective_.fault_policy == FaultPolicy::HardFail &&
-      st.fault.any_failures()) {
-    throw fault::FaultError(
-        std::to_string(st.fault.requests_failed) +
-        " request(s) failed under the installed fault plan "
-        "(FaultPolicy::HardFail)");
-  }
+  enforce_fault_policy(effective_.fault_policy, st);
   return std::move(results[0]);
 }
 
 DegradedResult DistMachine::step_degraded(
     const std::vector<AccessRequest>& requests, StepStats* stats) {
-  StepStats local;
-  StepStats& st = stats != nullptr ? *stats : local;
-  DegradedResult r;
-  r.values = step(requests, &st);
-  r.report = st.fault;
-  if (st.request_ok.empty()) {
-    r.ok.assign(static_cast<size_t>(processors()), 1);
-  } else {
-    r.ok = st.request_ok;
-  }
-  return r;
+  return run_step_degraded(*this, requests, stats);
 }
 
 telemetry::MeshCounters DistMachine::merged_counters() const {

@@ -24,16 +24,6 @@ using Clock = std::chrono::steady_clock;
 
 const telemetry::Label kPramStep = telemetry::intern("pram.step");
 
-int resolve_ranks(int ranks) {
-  if (ranks > 0) return ranks;
-  return static_cast<int>(env_i64("MESHPRAM_RANKS", 1, 4096).value_or(1));
-}
-
-bool resolve_validate(int validate) {
-  if (validate >= 0) return validate != 0;
-  return env_i64("MESHPRAM_DIST_VALIDATE", 0, 1).value_or(0) != 0;
-}
-
 bool executable(const std::string& path) {
   return !path.empty() && ::access(path.c_str(), X_OK) == 0;
 }
@@ -212,8 +202,7 @@ ProcMachine::~ProcMachine() {
 }
 
 int ProcMachine::max_ranks(const SimConfig& config) {
-  PramMeshSimulator probe(config);
-  return RankPartition::max_ranks(probe.placement(), config.mesh_rows);
+  return probe_max_ranks(config);
 }
 
 std::unique_ptr<ProcMachine> ProcMachine::from_simulator(
@@ -284,11 +273,7 @@ std::vector<i64> ProcMachine::run_step(
 std::vector<i64> ProcMachine::step(const std::vector<AccessRequest>& requests,
                                    StepStats* stats, bool feed_clock) {
   telemetry::begin_frame();  // sampling granularity = one PRAM step
-  std::vector<AccessRequest> padded = requests;
-  MP_REQUIRE(static_cast<i64>(padded.size()) <= processors(),
-             "more requests (" << padded.size() << ") than processors ("
-                               << processors() << ')');
-  padded.resize(static_cast<size_t>(processors()));
+  std::vector<AccessRequest> padded = pad_requests(requests, processors());
 
   std::vector<i64> results;
   StepStats st;
@@ -315,29 +300,13 @@ std::vector<i64> ProcMachine::step(const std::vector<AccessRequest>& requests,
   if (fed) clock_.add("pram_step", st.total_steps);
   maybe_checkpoint();
 
-  if (effective_.fault_policy == FaultPolicy::HardFail &&
-      st.fault.any_failures()) {
-    throw fault::FaultError(
-        std::to_string(st.fault.requests_failed) +
-        " request(s) failed under the installed fault plan "
-        "(FaultPolicy::HardFail)");
-  }
+  enforce_fault_policy(effective_.fault_policy, st);
   return results;
 }
 
 DegradedResult ProcMachine::step_degraded(
     const std::vector<AccessRequest>& requests, StepStats* stats) {
-  StepStats local;
-  StepStats& st = stats != nullptr ? *stats : local;
-  DegradedResult r;
-  r.values = step(requests, &st);
-  r.report = st.fault;
-  if (st.request_ok.empty()) {
-    r.ok.assign(static_cast<size_t>(processors()), 1);
-  } else {
-    r.ok = st.request_ok;
-  }
-  return r;
+  return run_step_degraded(*this, requests, stats);
 }
 
 void ProcMachine::recover(const std::string& reason) {

@@ -37,11 +37,8 @@ std::vector<i64> PramMeshSimulator::step(
     const std::vector<AccessRequest>& requests, StepStats* stats,
     bool feed_clock) {
   telemetry::begin_frame();  // sampling granularity = one PRAM step
-  std::vector<AccessRequest> padded = requests;
-  MP_REQUIRE(static_cast<i64>(padded.size()) <= processors(),
-             "more requests (" << padded.size() << ") than processors ("
-                               << processors() << ')');
-  padded.resize(static_cast<size_t>(processors()));
+  const std::vector<AccessRequest> padded =
+      pad_requests(requests, processors());
   StepStats local;
   StepStats& st = stats != nullptr ? *stats : local;
   std::vector<i64> results;
@@ -54,12 +51,7 @@ std::vector<i64> PramMeshSimulator::step(
   if (stats != nullptr && feed_clock) {
     mesh_->clock().add("pram_step", stats->total_steps);
   }
-  if (fault_policy_ == FaultPolicy::HardFail && st.fault.any_failures()) {
-    throw fault::FaultError(
-        std::to_string(st.fault.requests_failed) +
-        " request(s) failed under the installed fault plan "
-        "(FaultPolicy::HardFail)");
-  }
+  enforce_fault_policy(fault_policy_, st);
   return results;
 }
 
@@ -103,17 +95,7 @@ std::vector<i64> PramMeshSimulator::step_grouped(
 
 DegradedResult PramMeshSimulator::step_degraded(
     const std::vector<AccessRequest>& requests, StepStats* stats) {
-  StepStats local;
-  StepStats& st = stats != nullptr ? *stats : local;
-  DegradedResult r;
-  r.values = step(requests, &st);
-  r.report = st.fault;
-  if (st.request_ok.empty()) {
-    r.ok.assign(static_cast<size_t>(processors()), 1);
-  } else {
-    r.ok = st.request_ok;
-  }
-  return r;
+  return run_step_degraded(*this, requests, stats);
 }
 
 void PramMeshSimulator::write_step(const std::vector<i64>& vars,
@@ -136,6 +118,25 @@ std::vector<i64> PramMeshSimulator::read_step(const std::vector<i64>& vars,
   auto all = step(reqs, stats);
   all.resize(vars.size());
   return all;
+}
+
+std::vector<AccessRequest> pad_requests(
+    const std::vector<AccessRequest>& requests, i64 processors) {
+  MP_REQUIRE(static_cast<i64>(requests.size()) <= processors,
+             "more requests (" << requests.size() << ") than processors ("
+                               << processors << ')');
+  std::vector<AccessRequest> padded = requests;
+  padded.resize(static_cast<size_t>(processors));
+  return padded;
+}
+
+void enforce_fault_policy(FaultPolicy policy, const StepStats& st) {
+  if (policy == FaultPolicy::HardFail && st.fault.any_failures()) {
+    throw fault::FaultError(
+        std::to_string(st.fault.requests_failed) +
+        " request(s) failed under the installed fault plan "
+        "(FaultPolicy::HardFail)");
+  }
 }
 
 }  // namespace meshpram

@@ -138,4 +138,35 @@ class PramMeshSimulator {
   i64 now_ = 0;
 };
 
+// Step plumbing PramMeshSimulator shares with the rank machines (src/dist),
+// which mirror its step surface.
+
+/// `requests` padded with idle processors to `processors` entries; throws
+/// ConfigError when there are more requests than processors.
+std::vector<AccessRequest> pad_requests(
+    const std::vector<AccessRequest>& requests, i64 processors);
+
+/// Under FaultPolicy::HardFail, throws fault::FaultError when any request of
+/// the step failed.
+void enforce_fault_policy(FaultPolicy policy, const StepStats& st);
+
+/// step_degraded() for any machine with PramMeshSimulator's step() and
+/// processors(): runs the step and surfaces its success flags and report.
+template <class Machine>
+DegradedResult run_step_degraded(Machine& machine,
+                                 const std::vector<AccessRequest>& requests,
+                                 StepStats* stats) {
+  StepStats local;
+  StepStats& st = stats != nullptr ? *stats : local;
+  DegradedResult r;
+  r.values = machine.step(requests, &st);
+  r.report = st.fault;
+  if (st.request_ok.empty()) {
+    r.ok.assign(static_cast<size_t>(machine.processors()), 1);
+  } else {
+    r.ok = st.request_ok;
+  }
+  return r;
+}
+
 }  // namespace meshpram
