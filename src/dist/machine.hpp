@@ -34,8 +34,9 @@ struct DistConfig {
   /// Rank count; 0 consults MESHPRAM_RANKS (default 1). Must not exceed
   /// DistMachine::max_ranks(sim).
   int ranks = 0;
-  /// Per-sweep lockstep validation (boundary-lane checksums + replicated
-  /// buffer digests); -1 consults MESHPRAM_DIST_VALIDATE (default off).
+  /// Lockstep validation: a cross-rank (in-flight, step) hash every routing
+  /// step, boundary-frame checksums, and a cross-rank buffer digest after
+  /// the stage-(k+1) sort; -1 consults MESHPRAM_DIST_VALIDATE (default off).
   int validate = -1;
 };
 
